@@ -729,9 +729,9 @@ class CkksContext:
         reduction is needed, so the hot path performs a single ``%`` on
         the small accumulator instead of one full-size ``%`` per digit
         product.  The product-sum dispatches through the ``ks_inner``
-        kernel (every backend is bit-exact).  ``_max_chunk`` caps the
-        chunk size (tests use it to force the chunked fallback that
-        real parameter sets only hit with ~31-bit primes).
+        kernel.  ``_max_chunk`` caps the chunk size (tests use it to
+        force the chunked fallback that real parameter sets only hit
+        with ~31-bit primes).
         """
         ks_chain = self._ks_chain(level)
         ba = self._key_tensors(key, level)

@@ -1,28 +1,21 @@
-"""Runtime-dispatched hot-path kernels (stacked inner products, NTT stages).
+"""Hot-path kernels (stacked inner products, Galois gathers, NTT stages).
 
-See :mod:`repro.kernels.dispatch` for the registry/selection contract and
-:mod:`repro.kernels.ops` for the kernel implementations.  ``docs/kernels.md``
-documents how to add a backend.
+See :mod:`repro.kernels.dispatch` for the name -> kernel registry and
+:mod:`repro.kernels.ops` for the kernel implementations.
 """
 
 from repro.kernels.dispatch import (
-    BACKEND_NAMES,
-    ENV_VAR,
     KernelDispatchError,
     KernelRegistry,
     active_backend,
     drain_dispatch_counts,
     enable_dispatch_counts,
     get,
-    numba_available,
     registry,
-    select_backend,
 )
 from repro.kernels.ops import lazy_reduction_chunk
 
 __all__ = [
-    "BACKEND_NAMES",
-    "ENV_VAR",
     "KernelDispatchError",
     "KernelRegistry",
     "active_backend",
@@ -30,7 +23,5 @@ __all__ = [
     "enable_dispatch_counts",
     "get",
     "lazy_reduction_chunk",
-    "numba_available",
     "registry",
-    "select_backend",
 ]

@@ -1,98 +1,61 @@
-"""Runtime kernel-dispatch registry.
+"""The kernel registry: named hot-path kernels behind one lookup.
 
 The hot-path inner loops — NTT butterfly stages, Galois gathers of the
 key-switch digit tensor, and the stacked key-switch inner products —
-are factored behind this registry as *named kernels*, each with one or
-more interchangeable *backend* implementations:
+are registered here as *named kernels* and looked up with :func:`get`.
+Each kernel has exactly one implementation, the vectorized numpy one in
+:mod:`repro.kernels.ops`; results are exact int64 modular arithmetic.
 
-- ``numpy``   — the pure-numpy reference.  Always present; the
-  correctness baseline every other backend is tested against.
-- ``threaded``— slab-parallel numpy via a shared
-  :class:`~concurrent.futures.ThreadPoolExecutor` (numpy releases the
-  GIL inside its ufunc loops, so limb-slab threads genuinely overlap).
-- ``numba``   — optional JIT-compiled loops; only selectable when numba
-  imports.
-
-Selection mirrors ISA-dispatched CPU kernels (pick the implementation
-per machine capability, keep the algorithm fixed): a capability probe
-(``os.cpu_count()``, numba importability) chooses the default, the
-``REPRO_KERNELS`` environment variable or :func:`select_backend`
-overrides it, and the resolved name is surfaced through
-``OpLedger.snapshot()`` / serve telemetry so a run always records which
-kernels produced it.  Every backend of every kernel is bit-exact with
-the reference — dispatch changes wall-clock, never results.
+The name -> function table is kept as a seam rather than called
+directly: per-kernel dispatch counting (the
+``repro_kernel_dispatch_total`` metric) attaches here, and a profiler
+can wrap a kernel by re-registering it under the same name.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import os
 from typing import Callable, Dict, Optional, Tuple
 
-ENV_VAR = "REPRO_KERNELS"
-
-#: Probe / selection order.  "auto" resolves via :meth:`KernelRegistry.probe`.
-BACKEND_NAMES = ("numpy", "threaded", "numba")
+#: The one kernel backend, reported by telemetry as provenance.
+BACKEND = "numpy"
 
 
 class KernelDispatchError(RuntimeError):
-    """Unknown kernel or unavailable/unselectable backend."""
-
-
-def numba_available() -> bool:
-    """Capability probe: can the optional numba backend be imported?"""
-    return importlib.util.find_spec("numba") is not None
+    """Unknown kernel or backend name."""
 
 
 class KernelRegistry:
-    """Named kernels with runtime-selectable backend implementations.
+    """Named kernels, one implementation each.
 
     One process-global instance (:data:`registry`) is shared by every
     context/backend; tests may instantiate private registries.
-
-    Selection precedence (first match wins):
-
-    1. :meth:`select` — the API override (``None`` clears it);
-    2. ``REPRO_KERNELS`` environment variable (re-read whenever it
-       changes, so a test may monkeypatch it mid-process);
-    3. the capability probe: ``threaded`` when ``os.cpu_count() > 1``,
-       else ``numpy``.  The probe never auto-selects ``numba`` — JIT
-       warm-up dominates at toy ring sizes, so the compiled path is a
-       deliberate opt-in even where it imports.
-
-    A kernel missing an implementation for the selected backend falls
-    back to its ``numpy`` reference (so registering a threaded variant
-    for *one* kernel never forces threading everywhere).
     """
 
     def __init__(self):
-        self._impls: Dict[str, Dict[str, Callable]] = {}
-        self._override: Optional[str] = None
-        # (env value at resolve time, resolved backend) — invalidated
-        # whenever the env var changes or select() is called.
-        self._resolved: Optional[Tuple[Optional[str], str]] = None
+        self._impls: Dict[str, Callable] = {}
         # Per-kernel dispatch counts, opt-in (observability): counting
         # on every get() would put a dict update on the hottest call
         # site in the repo, so it stays off unless telemetry asks.
         self.count_dispatch = False
         self.dispatch_counts: Dict[str, int] = {}
 
-    # -- registration ------------------------------------------------------
     def register(self, kernel: str, backend: str, fn: Optional[Callable] = None):
-        """Register ``fn`` as the ``backend`` implementation of ``kernel``.
+        """Register ``fn`` as the implementation of ``kernel``.
 
-        Usable directly or as a decorator::
+        ``backend`` must be ``"numpy"``.  Re-registering a kernel
+        replaces it.  Usable directly or as a decorator::
 
             @registry.register("ks_inner", "numpy")
-            def _ks_inner_numpy(...): ...
+            def ks_inner_numpy(...): ...
         """
-        if backend not in BACKEND_NAMES:
+        if backend != BACKEND:
             raise KernelDispatchError(
-                f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}"
+                f"unknown backend {backend!r}; the only kernel backend "
+                f"is {BACKEND!r}"
             )
 
         def _add(impl: Callable) -> Callable:
-            self._impls.setdefault(kernel, {})[backend] = impl
+            self._impls[kernel] = impl
             return impl
 
         return _add if fn is None else _add(fn)
@@ -100,89 +63,15 @@ class KernelRegistry:
     def kernels(self) -> Tuple[str, ...]:
         return tuple(sorted(self._impls))
 
-    def backends_for(self, kernel: str) -> Tuple[str, ...]:
-        impls = self._impls.get(kernel)
-        if impls is None:
-            raise KernelDispatchError(f"unknown kernel {kernel!r}")
-        return tuple(name for name in BACKEND_NAMES if name in impls)
-
-    # -- selection ---------------------------------------------------------
-    def available_backends(self) -> Tuple[str, ...]:
-        """Backends selectable on this machine (capability-gated)."""
-        names = ["numpy", "threaded"]
-        if numba_available():
-            names.append("numba")
-        return tuple(names)
-
-    def probe(self) -> str:
-        """Capability-probed default backend for this machine."""
-        cpus = os.cpu_count() or 1
-        return "threaded" if cpus > 1 else "numpy"
-
-    def select(self, backend: Optional[str]) -> str:
-        """API override of the active backend (``None`` restores auto).
-
-        Returns the backend now active.  Selecting an unavailable
-        backend (e.g. ``numba`` without numba installed) fails loudly
-        here, not deep inside a kernel call.
-        """
-        if backend is not None:
-            self._check_selectable(backend)
-        self._override = backend
-        self._resolved = None
-        return self.active
-
-    def _check_selectable(self, backend: str) -> None:
-        if backend == "auto":
-            return
-        if backend not in BACKEND_NAMES:
-            raise KernelDispatchError(
-                f"unknown kernel backend {backend!r}; expected one of "
-                f"{BACKEND_NAMES + ('auto',)}"
-            )
-        if backend not in self.available_backends():
-            raise KernelDispatchError(
-                f"kernel backend {backend!r} is not available on this "
-                "machine (is numba installed?)"
-            )
-
-    @property
-    def active(self) -> str:
-        """The backend name dispatch currently resolves to."""
-        env = os.environ.get(ENV_VAR)
-        if self._resolved is not None and self._resolved[0] == env:
-            return self._resolved[1]
-        if self._override is not None:
-            name = self._override
-        elif env:
-            self._check_selectable(env)
-            name = self.probe() if env == "auto" else env
-        else:
-            name = self.probe()
-        self._resolved = (env, name)
-        return name
-
-    # -- dispatch ----------------------------------------------------------
     def get(self, kernel: str) -> Callable:
-        """The ``kernel`` implementation for the active backend.
-
-        Falls back to the ``numpy`` reference when the active backend
-        has no implementation of this kernel.
-        """
-        impls = self._impls.get(kernel)
-        if impls is None:
+        """The implementation of ``kernel``."""
+        fn = self._impls.get(kernel)
+        if fn is None:
             raise KernelDispatchError(f"unknown kernel {kernel!r}")
         if self.count_dispatch:
             self.dispatch_counts[kernel] = (
                 self.dispatch_counts.get(kernel, 0) + 1
             )
-        fn = impls.get(self.active)
-        if fn is None:
-            fn = impls.get("numpy")
-            if fn is None:
-                raise KernelDispatchError(
-                    f"kernel {kernel!r} has no numpy reference implementation"
-                )
         return fn
 
     # -- dispatch counting (observability, opt-in) -------------------------
@@ -206,13 +95,8 @@ def get(kernel: str) -> Callable:
 
 
 def active_backend() -> str:
-    """The globally active kernel backend name (telemetry hook)."""
-    return registry.active
-
-
-def select_backend(backend: Optional[str]) -> str:
-    """Override the globally active backend (``None`` restores auto)."""
-    return registry.select(backend)
+    """The kernel backend name (telemetry provenance): always ``"numpy"``."""
+    return BACKEND
 
 
 def enable_dispatch_counts(enabled: bool = True) -> None:

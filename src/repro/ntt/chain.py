@@ -134,8 +134,8 @@ class NttChainEngine:
         # One scratch buffer holds every stage's twiddle products.
         scratch = np.empty(shape[:-1] + (n // 2,), dtype=np.int64)
         # Hoisted kernel lookup: one dispatch for the whole transform.
-        # Every backend of "ntt_stage" performs the identical lazy
-        # butterfly (one %, one add, one subtract) in place.
+        # "ntt_stage" performs the lazy butterfly (one %, one add, one
+        # subtract) in place.
         ntt_stage = kernels.get("ntt_stage")
         half = 2
         stage = 1

@@ -52,6 +52,7 @@ from repro.serve.pool import (
     AdmissionError,
     ArtifactSpec,
     Dispatcher,
+    WorkerDiedError,
     WorkerPool,
 )
 from repro.serve.runtime import InferenceServer as _InferenceServer
@@ -116,6 +117,7 @@ __all__ = [
     "Dispatcher",
     "AdmissionError",
     "ArtifactSpec",
+    "WorkerDiedError",
     # shared artifact memory
     "ArtifactMap",
     "is_mmap_backed",

@@ -40,6 +40,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import queue
+import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -59,6 +61,10 @@ from repro.serve.stats import WorkerStats
 #: permanently in flight, so the LRU may spill cold *tenant* keys around
 #: it but never the keys requests are being served under.
 POOL_CLIENT_ID = "__pool__"
+
+#: How often a parent blocked on a process worker checks that the child
+#: is still alive.
+_POLL_SECONDS = 0.1
 
 
 class AdmissionError(RuntimeError):
@@ -83,6 +89,24 @@ class AdmissionError(RuntimeError):
         self.retry_after_ms = retry_after_ms
         self.worker_id = worker_id
         self.queue_depth = queue_depth
+
+
+class WorkerDiedError(RuntimeError):
+    """A process worker exited, or reported an error and stopped.
+
+    Attributes:
+        worker_id: the worker that died.
+        exitcode: the child's exit code (negative: killed by that
+            signal), or ``None`` if it had not exited yet.
+    """
+
+    def __init__(self, worker_id: int, exitcode: Optional[int], detail: str = ""):
+        message = f"worker {worker_id} died (exit code {exitcode})"
+        if detail:
+            message += f": {detail}"
+        super().__init__(message)
+        self.worker_id = worker_id
+        self.exitcode = exitcode
 
 
 @dataclass(frozen=True)
@@ -563,7 +587,6 @@ def _process_worker_main(
     worker_id: int,
     specs: Tuple[ArtifactSpec, ...],
     build_opts: Dict,
-    kernel_backend: Optional[str],
     request_queue,
     response_queue,
 ) -> None:
@@ -574,12 +597,6 @@ def _process_worker_main(
     and then runs a plain message loop: submit / step / drain / stats.
     """
     try:
-        if kernel_backend is not None:
-            from repro import kernels
-
-            kernels.select_backend(
-                None if kernel_backend == "auto" else kernel_backend
-            )
         worker = InlineWorker(worker_id, specs, **build_opts)
         response_queue.put(
             ("ready", worker_id, {aid: p for aid, p in worker.profiles.items()})
@@ -655,8 +672,6 @@ class ProcessWorker:
         self,
         worker_id: int,
         specs: Tuple[ArtifactSpec, ...],
-        *,
-        kernel_backend: Optional[str] = None,
         **build_opts,
     ):
         import multiprocessing
@@ -690,16 +705,13 @@ class ProcessWorker:
                 worker_id,
                 specs,
                 build_opts,
-                kernel_backend,
                 self._requests,
                 self._responses,
             ),
             daemon=True,
         )
         self._process.start()
-        kind, _, payload = self._responses.get()
-        if kind == "error":
-            raise RuntimeError(f"worker {worker_id} failed to start: {payload}")
+        _, payload = self._receive()
         self.profiles: Dict[str, WorkerProfile] = dict(payload)
 
     # -- intake ------------------------------------------------------------
@@ -740,27 +752,57 @@ class ProcessWorker:
         """Hot-swap the artifact inside the child; mirror its profile."""
         self._requests.put(("reload", artifact_id))
         while True:
-            kind, _, payload = self._responses.get()
+            kind, payload = self._receive()
             if kind == "profile":
                 _, profile = payload
                 self.profiles[artifact_id] = profile
                 return profile
-            if kind == "error":
-                raise RuntimeError(f"worker {self.worker_id} died: {payload}")
+
+    def _receive(self, timeout: Optional[float] = None) -> Tuple[str, object]:
+        """The child's next ``(kind, payload)`` message.
+
+        Polls so that a child which dies instead of answering raises
+        :class:`WorkerDiedError` within ~``_POLL_SECONDS`` rather than
+        blocking forever; an ``"error"`` message raises it too.  With a
+        ``timeout``, a live child that stays silent that long raises
+        :class:`queue.Empty`.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            # Checked before the wait: a child that exited had already
+            # flushed everything it sent, so an empty wait after a
+            # dead check means no answer is coming.
+            alive = self._process.is_alive()
+            try:
+                kind, _, payload = self._responses.get(timeout=_POLL_SECONDS)
+                break
+            except queue.Empty:
+                if not alive:
+                    raise WorkerDiedError(
+                        self.worker_id, self._process.exitcode
+                    ) from None
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise
+        if kind == "error":
+            # The child returns right after reporting; reap it so the
+            # error carries its exit code.
+            self._process.join(timeout=5.0)
+            raise WorkerDiedError(
+                self.worker_id, self._process.exitcode, str(payload)
+            )
+        return kind, payload
 
     def _collect(self) -> List[ServeResult]:
         """Read responses until the worker's 'done' marker."""
         results: List[ServeResult] = []
         while True:
-            kind, _, payload = self._responses.get()
+            kind, payload = self._receive()
             if kind == "result":
                 result = ServeResult(**payload)
                 self._depths[result.artifact_id] -= 1
                 results.append(result)
             elif kind == "done":
                 return results
-            elif kind == "error":
-                raise RuntimeError(f"worker {self.worker_id} died: {payload}")
 
     # -- observability -----------------------------------------------------
     def queue_depths(self) -> Dict[str, int]:
@@ -781,12 +823,10 @@ class ProcessWorker:
             return WorkerStats.from_payload(self._cached_stats_payload)
         self._requests.put(("stats",))
         while True:
-            kind, _, payload = self._responses.get()
+            kind, payload = self._receive()
             if kind == "stats":
                 self._cached_stats_payload = payload
                 return WorkerStats.from_payload(payload)
-            if kind == "error":
-                raise RuntimeError(f"worker {self.worker_id} died: {payload}")
 
     def _fetch_telemetry(self) -> None:
         """Round-trip one telemetry snapshot from the child into the
@@ -798,8 +838,8 @@ class ProcessWorker:
         self._requests.put(("telemetry",))
         while True:
             try:
-                kind, _, payload = self._responses.get(timeout=30.0)
-            except Exception:  # pragma: no cover - child wedged/raced exit
+                kind, payload = self._receive(timeout=30.0)
+            except queue.Empty:  # pragma: no cover - child wedged
                 return
             if kind == "telemetry":
                 self._cached_stats_payload = payload["stats"]
@@ -808,8 +848,6 @@ class ProcessWorker:
                 self._clock_offset = payload["clock_offset"]
                 self._dropped_roots = payload["dropped_roots"]
                 return
-            if kind == "error":
-                raise RuntimeError(f"worker {self.worker_id} died: {payload}")
 
     def telemetry(self) -> Dict:
         """Same bundle as :meth:`InlineWorker.telemetry`, served from
@@ -850,7 +888,6 @@ class WorkerPool:
         num_workers: int,
         *,
         mode: str = "inline",
-        kernel_backend: Optional[str] = None,
         **build_opts,
     ):
         if num_workers < 1:
@@ -875,12 +912,7 @@ class WorkerPool:
         elif mode == "process":
             for worker_id in range(num_workers):
                 self.workers.append(
-                    ProcessWorker(
-                        worker_id,
-                        self.specs,
-                        kernel_backend=kernel_backend,
-                        **build_opts,
-                    )
+                    ProcessWorker(worker_id, self.specs, **build_opts)
                 )
         else:
             raise ValueError(f"unknown pool mode {mode!r}")

@@ -2,8 +2,7 @@
 
 Three layers:
 
-- the dispatch registry itself (capability probe, env/API selection,
-  per-kernel numpy fallback, error paths);
+- the kernel registry itself (registration, lookup, error paths);
 - the shared int64 lazy-accumulator chunk bound
   (:func:`repro.kernels.lazy_reduction_chunk`), including the headroom
   regression at the boundary chunk size;
@@ -11,12 +10,9 @@ Three layers:
   references: stacked ``rotate_hoisted_raw`` vs a per-offset loop
   (across ks_alpha values, partial digit groups, mixed int and
   ``("conj", k)`` offsets, compressed keys at their level bound, and a
-  forced ``_max_chunk`` fallback), the grouped fused matvec, the
-  simulator's batched gathers, and numpy-vs-threaded agreement for
-  every dispatched kernel.
+  forced ``_max_chunk`` fallback), the grouped fused matvec, and the
+  simulator's batched gathers.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -31,19 +27,6 @@ from repro.kernels.dispatch import KernelDispatchError, KernelRegistry
 from repro.ntt import galois_eval_permutation
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
-@pytest.fixture(autouse=True)
-def _clean_selection(monkeypatch):
-    """Isolate every test from ambient REPRO_KERNELS and API overrides."""
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    kernels.select_backend(None)
-    yield
-    # This teardown runs before monkeypatch's env restore: drop any env
-    # override the test set so clearing the API override cannot trip on
-    # an invalid REPRO_KERNELS value.
-    os.environ.pop(kernels.ENV_VAR, None)
-    kernels.select_backend(None)
 
 
 @pytest.fixture(scope="module", params=[1, 2])
@@ -73,63 +56,34 @@ class TestRegistry:
             "ntt_stage",
         ):
             assert kernel in names
-            assert "numpy" in kernels.registry.backends_for(kernel)
-            assert "threaded" in kernels.registry.backends_for(kernel)
 
     def test_unknown_kernel_raises(self):
         with pytest.raises(KernelDispatchError, match="unknown kernel"):
             kernels.get("no_such_kernel")
 
-    def test_unknown_backend_rejected_at_registration(self):
+    @pytest.mark.parametrize("backend", ["cuda", "threaded", "numba"])
+    def test_unknown_backend_rejected_at_registration(self, backend):
         reg = KernelRegistry()
         with pytest.raises(KernelDispatchError, match="unknown backend"):
-            reg.register("k", "cuda", lambda: None)
+            reg.register("k", backend, lambda: None)
 
-    def test_probe_matches_cpu_count(self):
-        expected = "threaded" if (os.cpu_count() or 1) > 1 else "numpy"
-        assert kernels.registry.probe() == expected
-        assert kernels.active_backend() == expected
-
-    def test_env_var_selection(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "threaded")
-        assert kernels.active_backend() == "threaded"
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert kernels.active_backend() == "numpy"
-        monkeypatch.setenv(kernels.ENV_VAR, "auto")
-        assert kernels.active_backend() == kernels.registry.probe()
-
-    def test_env_var_invalid_name(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "cuda")
-        with pytest.raises(KernelDispatchError, match="unknown kernel backend"):
-            kernels.active_backend()
-
-    def test_api_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert kernels.select_backend("threaded") == "threaded"
-        assert kernels.active_backend() == "threaded"
-        kernels.select_backend(None)
-        assert kernels.active_backend() == "numpy"
-
-    @pytest.mark.skipif(
-        kernels.numba_available(), reason="numba installed: selection is legal"
-    )
-    def test_numba_unavailable_fails_loudly(self, monkeypatch):
-        with pytest.raises(KernelDispatchError, match="not available"):
-            kernels.select_backend("numba")
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
-        with pytest.raises(KernelDispatchError, match="not available"):
-            kernels.active_backend()
-
-    def test_missing_impl_falls_back_to_numpy(self):
+    def test_reregistration_replaces_the_kernel(self):
         reg = KernelRegistry()
-        reg.register("only_ref", "numpy", lambda: "ref")
-        assert reg.select("threaded") == "threaded"
-        assert reg.get("only_ref")() == "ref"
+        reg.register("k", "numpy", lambda: "first")
+        wrapped = reg.register("k", "numpy")(lambda: "second")
+        assert reg.get("k") is wrapped
+        assert reg.get("k")() == "second"
 
-    def test_available_backends_always_include_portable_pair(self):
-        names = kernels.registry.available_backends()
-        assert "numpy" in names and "threaded" in names
-        assert ("numba" in names) == kernels.numba_available()
+    def test_dispatch_counts_are_opt_in(self):
+        reg = KernelRegistry()
+        reg.register("k", "numpy", lambda: None)
+        reg.get("k")
+        assert reg.drain_dispatch_counts() == {}
+        reg.enable_dispatch_counts()
+        reg.get("k")
+        reg.get("k")
+        assert reg.drain_dispatch_counts() == {"k": 2}
+        assert reg.drain_dispatch_counts() == {}
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +157,9 @@ class TestLazyReductionChunk:
             assert got.shape == (2, 1, num_offsets, 4)
             assert np.all(got == want)
 
-    def test_stacked_kernel_backends_and_chunks_agree(self):
-        """Random-data equality of every ks_inner_stacked backend and
-        chunking against a materialize-then-sum reference."""
+    def test_stacked_kernel_chunks_agree(self):
+        """Random-data equality of ks_inner_stacked at every chunking
+        against a materialize-then-sum reference."""
         from repro.kernels import ops
 
         rng = np.random.default_rng(5)
@@ -215,9 +169,9 @@ class TestLazyReductionChunk:
         ref = np.moveaxis(
             (digits[None, None] * keys).sum(axis=2) % mod_col, 0, 2
         )
-        for impl in (ops.ks_inner_stacked_numpy, ops.ks_inner_stacked_threaded):
-            for chunk in (8, 2, 1):
-                assert np.array_equal(impl(digits, keys, mod_col, chunk), ref)
+        for chunk in (8, 2, 1):
+            got = ops.ks_inner_stacked_numpy(digits, keys, mod_col, chunk)
+            assert np.array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +289,6 @@ class TestStackedHoistedRaw:
         assert np.array_equal(rot0_s.data, rot0_m.data)
         assert np.array_equal(np.asarray(acc_s), np.asarray(acc_m))
 
-    def test_threaded_matches_numpy(self, toy_backend):
-        ctx = toy_backend.context
-        ct = toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count))
-        steps = [1, 3, ("conj", 2)]
-        kernels.select_backend("numpy")
-        ref = ctx.rotate_hoisted_raw(ct, steps)
-        kernels.select_backend("threaded")
-        got = ctx.rotate_hoisted_raw(ct, steps)
-        assert_raw_equal(got, ref)
-
 
 # ---------------------------------------------------------------------------
 # Grouped fused matvec / rotate-sum (toy)
@@ -378,31 +322,6 @@ class TestGroupedFusedMatvec:
         for got, want in zip(forced, base):
             assert np.array_equal(got.c0.data, want.c0.data)
             assert np.array_equal(got.c1.data, want.c1.data)
-
-    def test_threaded_matches_numpy(self, toy_backend):
-        cts = [
-            toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count)),
-            toy_backend.encode_encrypt(np.linspace(1, -1, toy_backend.slot_count)),
-        ]
-        terms = _matvec_terms(toy_backend, 2, 2, self.OFFS)
-        scale = toy_backend.params.scale
-        kernels.select_backend("numpy")
-        ref = toy_backend._matvec_fused_no_charge(cts, terms, 2, scale)
-        kernels.select_backend("threaded")
-        got = toy_backend._matvec_fused_no_charge(cts, terms, 2, scale)
-        for g, w in zip(got, ref):
-            assert np.array_equal(g.c0.data, w.c0.data)
-            assert np.array_equal(g.c1.data, w.c1.data)
-
-    def test_rotate_sum_threaded_matches_numpy(self, toy_backend):
-        ct = toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count))
-        steps = [1, 2, 5]
-        kernels.select_backend("numpy")
-        ref = toy_backend._rotate_sum_no_charge(ct, steps)
-        kernels.select_backend("threaded")
-        got = toy_backend._rotate_sum_no_charge(ct, steps)
-        assert np.array_equal(got.c0.data, ref.c0.data)
-        assert np.array_equal(got.c1.data, ref.c1.data)
 
 
 # ---------------------------------------------------------------------------
@@ -448,40 +367,12 @@ class TestSimBatchedGathers:
 
 
 # ---------------------------------------------------------------------------
-# NTT stage kernel
-# ---------------------------------------------------------------------------
-class TestNttStageKernel:
-    def test_threaded_transform_matches_numpy(self, toy_backend):
-        ctx = toy_backend.context
-        engine = ctx.basis.engine
-        rng = np.random.default_rng(5)
-        rows = list(range(engine.num_primes))
-        data = rng.integers(
-            0, engine._full.q, size=(3, len(rows), ctx.params.ring_degree)
-        )
-        kernels.select_backend("numpy")
-        fwd_ref = engine.forward(data, rows)
-        inv_ref = engine.inverse(fwd_ref, rows)
-        kernels.select_backend("threaded")
-        fwd_thr = engine.forward(data, rows)
-        inv_thr = engine.inverse(fwd_thr, rows)
-        assert np.array_equal(fwd_thr, fwd_ref)
-        assert np.array_equal(inv_thr, inv_ref)
-        assert np.array_equal(inv_ref, data)
-
-
-# ---------------------------------------------------------------------------
 # Telemetry
 # ---------------------------------------------------------------------------
 class TestTelemetry:
     def test_ledger_snapshot_reports_backend(self):
-        snap = OpLedger().snapshot()
-        assert snap["kernel_backend"] == kernels.active_backend()
-        kernels.select_backend("threaded")
-        assert OpLedger().snapshot()["kernel_backend"] == "threaded"
+        assert kernels.active_backend() == "numpy"
+        assert OpLedger().snapshot()["kernel_backend"] == "numpy"
 
     def test_backend_property(self, toy_backend):
-        kernels.select_backend("numpy")
         assert toy_backend.kernel_backend == "numpy"
-        kernels.select_backend("threaded")
-        assert toy_backend.kernel_backend == "threaded"

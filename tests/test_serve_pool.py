@@ -22,12 +22,15 @@ The correctness gates of the pool PR:
 """
 
 import json
+import os
+import signal
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from repro import serve
+from repro import kernels, serve
 from repro.ckks.params import toy_parameters
 from repro.models import SecureMlp
 from repro.nn import init
@@ -39,6 +42,7 @@ from repro.serve import (
     ServerConfig,
     ServerStats,
     StatsSchemaError,
+    WorkerDiedError,
     is_mmap_backed,
 )
 from repro.serve.keys import default_backend_factory
@@ -288,8 +292,6 @@ class TestFrontDoor:
         with pytest.raises(ValueError):
             ServerConfig(key_policy="rotating")
         with pytest.raises(ValueError):
-            ServerConfig(kernel_backend="cuda")
-        with pytest.raises(ValueError):
             ServerConfig(max_queue_depth=0)
         with pytest.raises(ValueError):
             ServerConfig(admission_budget_seconds=0.0)
@@ -484,3 +486,56 @@ class TestProcessMode:
                 process_results[client].worker_id
                 == inline_results[client].worker_id
             )
+
+    def test_fork_after_every_kernel_ran_in_the_parent(
+        self, artifact_path, monkeypatch
+    ):
+        """Workers forked after the parent has dispatched every kernel
+        serve bit-exactly: kernel state left live in the parent (such
+        as a thread pool, whose threads a fork child does not inherit)
+        must not wedge the child's first dispatch."""
+        seen = set()
+        get = kernels.registry.get
+
+        def recording_get(kernel):
+            seen.add(kernel)
+            return get(kernel)
+
+        monkeypatch.setattr(kernels.registry, "get", recording_get)
+        config = _pool_config(workers=2, max_queue_depth=16)
+        images = _images(5, seed=11)
+        clients = [f"client-{i}" for i in range(len(images))]
+
+        def serve_all(server):
+            first = server.serve_now(images[0], client_id=clients[0])
+            for client, image in zip(clients[1:], images[1:]):
+                server.submit(image, client_id=client)
+            return {r.client_id: r.output for r in [first, *server.drain()]}
+
+        with serve.open(artifact_path, config) as server:
+            inline = serve_all(server)
+        assert seen == set(kernels.registry.kernels())
+        with serve.open(
+            artifact_path, config.with_overrides(mode="process")
+        ) as server:
+            forked = serve_all(server)
+        assert forked.keys() == inline.keys()
+        for client in clients:
+            assert np.array_equal(forked[client], inline[client])
+
+    def test_killed_worker_raises_worker_died_error(self, artifact_path):
+        """A worker killed with work queued surfaces as a named error
+        carrying its exit code, not as a parent blocked forever."""
+        server = serve.open(artifact_path, _pool_config(workers=1, mode="process"))
+        try:
+            server.submit(_images(1)[0], client_id="victim")
+            child = server._dispatcher.pool.workers[0]._process
+            os.kill(child.pid, signal.SIGKILL)
+            start = time.monotonic()
+            with pytest.raises(WorkerDiedError) as info:
+                server.drain()
+            assert time.monotonic() - start < 10.0
+            assert info.value.worker_id == 0
+            assert info.value.exitcode == -signal.SIGKILL
+        finally:
+            server.close()
