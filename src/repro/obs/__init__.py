@@ -15,11 +15,7 @@ summarizer that ``OpLedger.snapshot`` and ``WorkerStats`` both consume.
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.noise import NoiseMonitor
-from repro.obs.summary import (
-    merge_histogram_summaries,
-    summarize_histogram,
-    summarize_ledger,
-)
+from repro.obs.summary import summarize_histogram, summarize_ledger
 from repro.obs.tracing import (
     NULL_SPAN,
     NULL_TRACER,
@@ -38,7 +34,6 @@ from repro.obs.tracing import (
 __all__ = [
     "MetricsRegistry",
     "NoiseMonitor",
-    "merge_histogram_summaries",
     "summarize_histogram",
     "summarize_ledger",
     "NULL_SPAN",

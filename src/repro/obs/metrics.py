@@ -117,6 +117,14 @@ class MetricsRegistry:
     def histogram_value(self, name: str, **labels):
         return self._histograms.get(name, {}).get(_label_key(labels))
 
+    def series(self, name: str) -> List[Tuple[Dict[str, str], object]]:
+        """Every ``(labels, value)`` of ``name``: a float for counters
+        and gauges, a ``LatencyHistogram`` for histograms."""
+        for store in (self._counters, self._gauges, self._histograms):
+            if name in store:
+                return [(dict(key), value) for key, value in store[name].items()]
+        return []
+
     @property
     def names(self) -> List[str]:
         return sorted(self._meta)

@@ -1,16 +1,13 @@
 """Shared telemetry summarizers.
 
-Before this module, ``OpLedger.snapshot()`` / ``LatencyHistogram.
-snapshot()`` and ``WorkerStats`` each re-derived per-op latency
-summaries (count-weighted means, percentile merges) with their own
-arithmetic.  Both now consume these functions, so the summary shape —
-and the merge semantics — live in exactly one place.
+``OpLedger.snapshot()``, ``LatencyHistogram.snapshot()`` and
+``HistogramStats`` all consume these functions, so the summary shape
+lives in exactly one place.
 
 A histogram summary is the plain dict
-``{"count", "mean_seconds", "p50_seconds", "p99_seconds"}``; merging
-two summaries is count-weighted on the mean and takes the max of each
-percentile (the conservative bound: the merged distribution's true
-percentile cannot exceed the max of the parts' bucket upper edges).
+``{"count", "mean_seconds", "p50_seconds", "p99_seconds"}``.  Summaries
+are never merged: combining histograms means summing their buckets
+(``LatencyHistogram.merge``) and summarizing the result.
 """
 
 from __future__ import annotations
@@ -25,27 +22,6 @@ def summarize_histogram(histogram) -> Dict[str, float]:
         "mean_seconds": histogram.mean,
         "p50_seconds": histogram.quantile(0.5),
         "p99_seconds": histogram.quantile(0.99),
-    }
-
-
-def merge_histogram_summaries(
-    a: Dict[str, float], b: Dict[str, float]
-) -> Dict[str, float]:
-    """Merge two histogram summaries (count-weighted mean, max
-    percentiles).  Used when only summaries — not the underlying
-    buckets — survived serialization (fork-mode worker payloads)."""
-    total = a["count"] + b["count"]
-    if total:
-        mean = (
-            a["mean_seconds"] * a["count"] + b["mean_seconds"] * b["count"]
-        ) / total
-    else:
-        mean = 0.0
-    return {
-        "count": total,
-        "mean_seconds": mean,
-        "p50_seconds": max(a["p50_seconds"], b["p50_seconds"]),
-        "p99_seconds": max(a["p99_seconds"], b["p99_seconds"]),
     }
 
 

@@ -103,36 +103,6 @@ class OrionNetwork:
         )
         return save_artifact_delta(compiled, params, base_path, path)
 
-    def serve(
-        self,
-        params: CkksParameters,
-        backend=None,
-        cost_model: Optional[CostModel] = None,
-        **server_kwargs,
-    ):
-        """Compile in-process and stand up an :class:`InferenceServer`.
-
-        Convenience for single-process deployments and notebooks; the
-        production path is :meth:`export` + ``repro.serve.load_artifact``
-        on each worker.
-        """
-        from repro.backend.toy import ToyBackend
-        from repro.ckks.keys import KeyManifest
-        from repro.serve.artifact import ServingArtifact
-        from repro.serve.runtime import InferenceServer
-
-        compiled = self.compile(params, cost_model)
-        manifest = KeyManifest.for_program(params, compiled.program)
-        artifact = ServingArtifact(
-            manifest=manifest,
-            program=compiled.program,
-            layer_reports=[],
-            summary=compiled.summary(),
-        )
-        if backend is None:
-            backend = ToyBackend(params)
-        return InferenceServer(artifact, backend, **server_kwargs)
-
     # -- cleartext reference -------------------------------------------------
     def forward_cleartext(self, images: np.ndarray) -> np.ndarray:
         """Exact (non-polynomial) forward pass for validation."""

@@ -14,10 +14,12 @@ north star needs (docs/serving.md).  The front door is::
 Behind it:
 
 - :mod:`repro.serve.api`      — :func:`open`, :class:`ServerConfig`,
-  :class:`Server`: the redesigned single entry point;
-- :mod:`repro.serve.pool`     — :class:`WorkerPool` /
-  :class:`Dispatcher`: sharded workers, rendezvous routing, admission
-  control (:class:`AdmissionError` backpressure);
+  :class:`Server`: the single entry point, which owns the workers,
+  rendezvous routing and admission control (:class:`AdmissionError`
+  backpressure);
+- :mod:`repro.serve.pool`     — the one worker loop
+  (``InlineWorker``), run in-process or behind a fork pipe
+  (``ProcessWorker``);
 - :mod:`repro.serve.mmapio`   — :class:`ArtifactMap`: shared read-only
   mmapped artifact tables (one physical copy per machine);
 - :mod:`repro.serve.stats`    — :class:`ServerStats` /
@@ -26,14 +28,9 @@ Behind it:
 - :mod:`repro.serve.artifact` — the versioned on-disk artifact;
 - :mod:`repro.serve.scheduler` — cross-request SIMD slot batching;
 - :mod:`repro.serve.keys`     — the multi-tenant key registry;
-- :mod:`repro.serve.runtime`  — the per-worker inference loop.
-
-``InferenceServer`` and ``SlotBatchingScheduler`` remain importable
-from this package for one release as deprecation shims; new code goes
-through :func:`open`.
+- :mod:`repro.serve.runtime`  — the per-artifact inference server
+  each worker hosts.
 """
-
-import warnings as _warnings
 
 from repro.serve.api import Server, ServerConfig, open
 from repro.serve.artifact import (
@@ -48,17 +45,9 @@ from repro.serve.artifact import (
 )
 from repro.serve.keys import KeyRegistry, KeySpillError
 from repro.serve.mmapio import ArtifactMap, is_mmap_backed
-from repro.serve.pool import (
-    AdmissionError,
-    ArtifactSpec,
-    Dispatcher,
-    WorkerDiedError,
-    WorkerPool,
-)
-from repro.serve.runtime import InferenceServer as _InferenceServer
+from repro.serve.pool import AdmissionError, ArtifactSpec, WorkerDiedError
 from repro.serve.runtime import ServeResult
 from repro.serve.scheduler import PendingRequest
-from repro.serve.scheduler import SlotBatchingScheduler as _SlotBatchingScheduler
 from repro.serve.stats import (
     STATS_SCHEMA_VERSION,
     HistogramStats,
@@ -68,53 +57,11 @@ from repro.serve.stats import (
     WorkerStats,
 )
 
-
-class InferenceServer(_InferenceServer):
-    """Deprecated alias for :class:`repro.serve.runtime.InferenceServer`.
-
-    The single-worker loop is now an internal building block of the
-    pool; construct deployments with :func:`repro.serve.open` instead.
-    Behavior is identical to the internal class (the parity tests in
-    ``tests/test_serve_pool.py`` pin this) — only the import location
-    is deprecated.
-    """
-
-    def __init__(self, *args, **kwargs):
-        _warnings.warn(
-            "repro.serve.InferenceServer is deprecated; use "
-            "repro.serve.open(artifact, ServerConfig(...)) — or import "
-            "repro.serve.runtime.InferenceServer if you really need the "
-            "bare worker loop",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
-
-
-class SlotBatchingScheduler(_SlotBatchingScheduler):
-    """Deprecated alias for
-    :class:`repro.serve.scheduler.SlotBatchingScheduler` — batching is
-    configured through :class:`ServerConfig` now."""
-
-    def __init__(self, *args, **kwargs):
-        _warnings.warn(
-            "repro.serve.SlotBatchingScheduler is deprecated; configure "
-            "batching via ServerConfig (or import "
-            "repro.serve.scheduler.SlotBatchingScheduler directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
-
-
 __all__ = [
     # front door
     "open",
     "Server",
     "ServerConfig",
-    # pool
-    "WorkerPool",
-    "Dispatcher",
     "AdmissionError",
     "ArtifactSpec",
     "WorkerDiedError",
@@ -142,7 +89,4 @@ __all__ = [
     # results / scheduling primitives
     "ServeResult",
     "PendingRequest",
-    # deprecated shims
-    "InferenceServer",
-    "SlotBatchingScheduler",
 ]

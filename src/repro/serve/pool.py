@@ -1,51 +1,31 @@
-"""The sharded worker pool: dispatcher + N workers over shared tables.
+"""Serving workers: one worker loop, run in-process or in a fork child.
 
-The asynchronous-architecture decoupling that fleet-scale serving
-needs: a front-of-house :class:`Dispatcher` that routes, admits, and
-accounts for requests, and a :class:`WorkerPool` of N workers each
-running *today's* :class:`repro.serve.runtime.InferenceServer` loop —
-one server per hosted artifact, slot-batching its own queue by the
-existing cost/deadline rule.  Nothing about the execution hot path
-changes; the pool is pure orchestration:
+:class:`InlineWorker` is the only worker loop.  It hosts one
+:class:`repro.serve.runtime.InferenceServer` per artifact, each
+slot-batching its own queue by the cost/deadline rule, and reports
+everything observable about itself as one telemetry bundle: its
+:class:`repro.obs.MetricsRegistry` payload plus the trace spans it
+recorded since the last bundle.
 
-- **Shared read-only artifact memory.**  Workers open artifacts through
-  :class:`repro.serve.mmapio.ArtifactMap`: the weight and pre-encoded
-  plaintext tables are mmapped once per machine, so per-worker RSS
-  stays flat as the pool grows (the tables are physically shared pages;
-  ``verify_mmap_tables`` asserts no worker ever copied them).
-- **Deterministic routing.**  Rendezvous (highest-random-weight)
-  hashing of ``(routing_seed, artifact, client)`` over the workers:
-  a client's requests always land on the same worker, so its requests
-  coalesce into that worker's slot batches, and the assignment is
-  reproducible run-to-run — the property the bit-exactness gates are
-  built on.  Load imbalance surfaces as backpressure, never as
-  non-deterministic migration.
-- **Admission control.**  Per-worker queues are bounded
-  (``max_queue_depth``); once the routed worker is full — or its
-  modeled backlog exceeds the configured latency budget — the
-  dispatcher refuses the request with :class:`AdmissionError` carrying
-  a ``retry_after_ms`` hint, rather than letting queues grow without
-  bound.  Conservation holds at every instant:
-  ``submitted == admitted + rejected`` and
-  ``admitted == completed + in_flight``.
-- **Two execution modes.**  ``inline`` runs every worker in-process
-  (deterministic, the mode the correctness gates run under — process
-  parallelism is unmeasurable on a single-core host anyway);
-  ``process`` forks real ``multiprocessing`` workers that each map the
-  same artifact files and serve from their own queues.
+:class:`ProcessWorker` runs that same loop in a ``fork`` child and is
+only a pipe transport: each call sends ``(method, args)`` to the
+child's :class:`InlineWorker` and returns the result, or raises
+:class:`WorkerDiedError`.  Routing, admission and the conservation
+counters live in :class:`repro.serve.api.Server`, which owns the worker
+list.
+
+Workers open artifacts through :class:`repro.serve.mmapio.ArtifactMap`:
+the weight and pre-encoded plaintext tables are mmapped once per
+machine, so per-worker RSS stays flat as the pool grows
+(``verify_mmap_tables`` asserts no worker ever copied them).
 """
 
 from __future__ import annotations
 
-import hashlib
-import math
 import os
 import queue
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro import kernels
 from repro.obs.metrics import MetricsRegistry
@@ -54,7 +34,6 @@ from repro.serve.artifact import ServingArtifact
 from repro.serve.keys import KeyRegistry, default_backend_factory
 from repro.serve.mmapio import ArtifactMap, is_mmap_backed
 from repro.serve.runtime import InferenceServer, ServeResult
-from repro.serve.stats import WorkerStats
 
 #: Registry client id under which each worker's own serving backend is
 #: adopted (and pinned for the worker's lifetime): the pool backend is
@@ -68,10 +47,10 @@ _POLL_SECONDS = 0.1
 
 
 class AdmissionError(RuntimeError):
-    """The dispatcher refused a request (backpressure).
+    """The server refused a request (backpressure).
 
     Attributes:
-        retry_after_ms: the dispatcher's hint for when capacity should
+        retry_after_ms: the server's hint for when capacity should
             free up (modeled batch latency, or the backlog's overhang
             past the latency budget).
         worker_id: the worker the request routed to.
@@ -111,7 +90,7 @@ class WorkerDiedError(RuntimeError):
 
 @dataclass(frozen=True)
 class WorkerProfile:
-    """What the dispatcher knows about one (worker, artifact) lane."""
+    """What admission control knows about one (worker, artifact) lane."""
 
     capacity: int
     modeled_seconds: float
@@ -181,98 +160,24 @@ class ArtifactSpec:
             raise ValueError("ArtifactSpec needs a path or a loaded artifact")
 
 
-def _worker_seed(key_seed: int, key_policy: str, worker_id: int) -> int:
-    # "shared": every worker holds the same key domain (bit-identical
-    # keygen), so any worker's response decrypts under the pool key and
-    # a solo replay with key_seed reproduces any worker bit-for-bit.
-    if key_policy == "shared":
-        return key_seed
-    return key_seed + worker_id
+class InlineWorker:
+    """One shard: an :class:`InferenceServer` per hosted artifact.
 
-
-def _build_servers(
-    worker_id: int,
-    specs: Tuple[ArtifactSpec, ...],
-    *,
-    key_seed: int,
-    key_policy: str,
-    batching: bool,
-    max_batch: Optional[int],
-    batch_window_seconds: float,
-    preload: bool,
-    backend_factory: Optional[Callable],
-    key_cache_dir: Optional[str] = None,
-    max_tenants: int = 16,
-    shared_artifacts: Optional[Dict[str, ServingArtifact]] = None,
-    tracer: Optional[Tracer] = None,
-) -> Tuple[
-    Dict[str, InferenceServer],
-    Dict[str, WorkerProfile],
-    Dict[str, KeyRegistry],
-]:
-    """Load every hosted artifact (mmap when given a path) and stand up
-    one InferenceServer per artifact for this worker.
+    Every worker of a pool holds the same key domain (the backend
+    factory is called with ``key_seed``, bit-identical keygen), so any
+    worker's response decrypts under the pool key and a solo replay
+    with ``key_seed`` reproduces any worker bit-for-bit.
 
     Each (worker, artifact) lane also gets a
     :class:`repro.serve.keys.KeyRegistry` over the artifact's manifest:
-    the worker's own backend is built by the factory exactly as before
-    (same deterministic seed — the bit-exactness contract is untouched)
-    and then *adopted* and pinned under :data:`POOL_CLIENT_ID`, so the
-    registry's resident/spilled key-bytes accounting covers the pool and
-    any per-tenant backends share its LRU/pin/spill discipline.
-    """
-    factory = backend_factory or default_backend_factory
-    seed = _worker_seed(key_seed, key_policy, worker_id)
-    servers: Dict[str, InferenceServer] = {}
-    profiles: Dict[str, WorkerProfile] = {}
-    registries: Dict[str, KeyRegistry] = {}
-    for spec in specs:
-        mmapped = False
-        if shared_artifacts is not None and spec.artifact_id in shared_artifacts:
-            artifact = shared_artifacts[spec.artifact_id]
-            mmapped = spec.path is not None
-        elif spec.path is not None:
-            artifact = ArtifactMap(spec.path).load()
-            mmapped = True
-            if shared_artifacts is not None:
-                shared_artifacts[spec.artifact_id] = artifact
-        else:
-            artifact = spec.artifact
-        backend = factory(artifact.manifest.to_params(), seed)
-        registry = KeyRegistry(
-            artifact.manifest,
-            backend_factory=factory,
-            max_clients=max_tenants,
-            cache_dir=key_cache_dir,
-        )
-        registry.adopt(POOL_CLIENT_ID, backend)
-        registry.pin(POOL_CLIENT_ID)
-        server = InferenceServer(
-            artifact,
-            backend,
-            batching=batching,
-            max_batch=max_batch,
-            max_wait_seconds=batch_window_seconds,
-            preload=preload,
-            tracer=tracer,
-        )
-        if mmapped:
-            verify_mmap_tables(server, spec.path)
-        servers[spec.artifact_id] = server
-        registries[spec.artifact_id] = registry
-        profiles[spec.artifact_id] = WorkerProfile(
-            capacity=server.scheduler.capacity,
-            modeled_seconds=server.scheduler.modeled_run_seconds,
-            mmap_backed=mmapped,
-        )
-    return servers, profiles, registries
+    the worker's backend is *adopted* and pinned under
+    :data:`POOL_CLIENT_ID`, so the registry's resident/spilled key-bytes
+    accounting covers the pool and any per-tenant backends share its
+    LRU/pin/spill discipline.
 
-
-class InlineWorker:
-    """One shard running in-process: a dict of InferenceServers.
-
-    The deterministic reference implementation — identical code to what
-    a process worker runs in its child, minus the queue transport.
+    ``shared_artifacts`` lets the workers of one process share a single
+    load of each mmapped artifact (the program object and its mapped
+    tables); per-worker state lives in the backends.
     """
 
     def __init__(
@@ -280,16 +185,21 @@ class InlineWorker:
         worker_id: int,
         specs: Tuple[ArtifactSpec, ...],
         *,
+        key_seed: int = 0,
+        key_cache_dir: Optional[str] = None,
+        max_tenants: int = 16,
+        batching: bool = True,
+        batch_window_seconds: float = 0.05,
+        backend_factory: Optional[Callable] = None,
+        tracing: bool = False,
+        trace_sample_rate: float = 1.0,
         shared_artifacts: Optional[Dict[str, ServingArtifact]] = None,
-        **build_opts,
     ):
         self.worker_id = worker_id
-        self.specs = tuple(specs)
-        tracing = build_opts.pop("tracing", False)
-        sample_rate = build_opts.pop("trace_sample_rate", 1.0)
+        self.specs = {spec.artifact_id: spec for spec in specs}
         #: one tracer per worker shard — its spans become this worker's
         #: track in the Chrome-trace export.
-        self.tracer = Tracer(sample_rate=sample_rate) if tracing else None
+        self.tracer = Tracer(sample_rate=trace_sample_rate) if tracing else None
         if tracing:
             # Kernel dispatch counting is opt-in (a dict increment on the
             # hot path); only a tracing pool pays for it.
@@ -297,18 +207,59 @@ class InlineWorker:
         # Cumulative process-wide kernel dispatch counts accumulated from
         # the registry's destructive drain (see metrics_registry).
         self._dispatch_totals: Dict[str, int] = {}
-        # Kept for hot reload: a swapped-in artifact rebuilds its server
-        # with the same batching/preload options it was opened with.
-        self._build_opts = dict(build_opts)
-        self.servers, self.profiles, self.registries = _build_servers(
-            worker_id,
-            specs,
-            shared_artifacts=shared_artifacts,
-            tracer=self.tracer,
-            **build_opts,
-        )
-        # Inner (per-server) ticket -> the dispatcher's global ticket.
+        self._batching = batching
+        self._batch_window_seconds = batch_window_seconds
+        self._shared = shared_artifacts
+        self.servers: Dict[str, InferenceServer] = {}
+        self.profiles: Dict[str, WorkerProfile] = {}
+        self.registries: Dict[str, KeyRegistry] = {}
+        factory = backend_factory or default_backend_factory
+        for artifact_id, spec in self.specs.items():
+            artifact = self._load(spec)
+            backend = factory(artifact.manifest.to_params(), key_seed)
+            registry = KeyRegistry(
+                artifact.manifest,
+                backend_factory=factory,
+                max_clients=max_tenants,
+                cache_dir=key_cache_dir,
+            )
+            registry.adopt(POOL_CLIENT_ID, backend)
+            registry.pin(POOL_CLIENT_ID)
+            self.registries[artifact_id] = registry
+            self._install(spec, artifact, backend)
+        # Inner (per-server) ticket -> the server's pool-global ticket.
         self._tickets: Dict[Tuple[str, int], int] = {}
+        self._stepped: List[ServeResult] = []
+
+    def _load(self, spec: ArtifactSpec) -> ServingArtifact:
+        if spec.path is None:
+            return spec.artifact
+        if self._shared is not None and spec.artifact_id in self._shared:
+            return self._shared[spec.artifact_id]
+        artifact = ArtifactMap(spec.path).load()
+        if self._shared is not None:
+            self._shared[spec.artifact_id] = artifact
+        return artifact
+
+    def _install(self, spec: ArtifactSpec, artifact, backend) -> WorkerProfile:
+        server = InferenceServer(
+            artifact,
+            backend,
+            batching=self._batching,
+            max_wait_seconds=self._batch_window_seconds,
+            tracer=self.tracer,
+        )
+        mmapped = spec.path is not None
+        if mmapped:
+            verify_mmap_tables(server, spec.path)
+        self.servers[spec.artifact_id] = server
+        profile = WorkerProfile(
+            capacity=server.scheduler.capacity,
+            modeled_seconds=server.scheduler.modeled_run_seconds,
+            mmap_backed=mmapped,
+        )
+        self.profiles[spec.artifact_id] = profile
+        return profile
 
     # -- intake ------------------------------------------------------------
     def submit(
@@ -332,28 +283,34 @@ class InlineWorker:
         return self._stamp(result, artifact_id, ticket)
 
     # -- execution ---------------------------------------------------------
-    def begin_step(self, now: Optional[float]) -> None:
-        pass  # inline workers run synchronously in finish_step
+    def step(self, now: Optional[float]) -> List[ServeResult]:
+        """Run every due batch of every hosted artifact."""
+        return [
+            self._stamp(result, artifact_id)
+            for artifact_id, server in self.servers.items()
+            for result in server.step(now)
+        ]
 
-    def finish_step(self, now: Optional[float]) -> List[ServeResult]:
-        results: List[ServeResult] = []
-        for artifact_id, server in self.servers.items():
-            for result in server.step(now):
-                results.append(self._stamp(result, artifact_id))
+    def begin_step(self, now: Optional[float]) -> None:
+        # In-process there is nothing to overlap: run the step now.
+        self._stepped = self.step(now)
+
+    def finish_step(self) -> List[ServeResult]:
+        results, self._stepped = self._stepped, []
         return results
 
     def drain(self) -> List[ServeResult]:
-        results: List[ServeResult] = []
-        for artifact_id, server in self.servers.items():
-            for result in server.drain():
-                results.append(self._stamp(result, artifact_id))
-        return results
+        return [
+            self._stamp(result, artifact_id)
+            for artifact_id, server in self.servers.items()
+            for result in server.drain()
+        ]
 
     def warm(self, batch_sizes=None) -> None:
         for server in self.servers.values():
             server.warm(batch_sizes=batch_sizes)
 
-    def reload(self, artifact_id: str, artifact: Optional[ServingArtifact] = None):
+    def reload(self, artifact_id: str) -> WorkerProfile:
         """Hot-swap a new artifact version into this worker.
 
         Re-opens the artifact's path (whose bytes the caller has already
@@ -364,23 +321,15 @@ class InlineWorker:
         existing backend is **reused**: a weight update must not rotate
         the key domain out from under clients that hold ciphertexts, so
         the swapped-in artifact is required to carry the *same* key
-        manifest.  The lane's queue must be empty (``drain()`` first).
-        Returns the refreshed :class:`WorkerProfile`.
+        manifest.  Returns the refreshed :class:`WorkerProfile`.
         """
-        old = self.servers[artifact_id]
-        if len(old.scheduler):
-            raise RuntimeError(
-                f"artifact {artifact_id!r} has queued requests on worker "
-                f"{self.worker_id}; drain() before reload"
+        spec = self.specs[artifact_id]
+        if spec.path is None:
+            raise ValueError(
+                f"artifact {artifact_id!r} was opened in-memory; hot "
+                "reload needs a path-backed artifact"
             )
-        spec = next(s for s in self.specs if s.artifact_id == artifact_id)
-        if artifact is None:
-            if spec.path is None:
-                raise ValueError(
-                    f"artifact {artifact_id!r} was opened in-memory; hot "
-                    "reload needs a path-backed artifact"
-                )
-            artifact = ArtifactMap(spec.path).load()
+        artifact = self._load(spec)
         registry = self.registries[artifact_id]
         if artifact.manifest.fingerprint() != registry.manifest.fingerprint():
             raise RuntimeError(
@@ -388,24 +337,7 @@ class InlineWorker:
                 "— tenants hold ciphertexts under the current keys; open a "
                 "new server for key-incompatible artifacts"
             )
-        server = InferenceServer(
-            artifact,
-            old.backend,
-            batching=self._build_opts["batching"],
-            max_batch=self._build_opts["max_batch"],
-            max_wait_seconds=self._build_opts["batch_window_seconds"],
-            preload=self._build_opts["preload"],
-            tracer=self.tracer,
-        )
-        if spec.path is not None:
-            verify_mmap_tables(server, spec.path)
-        self.servers[artifact_id] = server
-        self.profiles[artifact_id] = WorkerProfile(
-            capacity=server.scheduler.capacity,
-            modeled_seconds=server.scheduler.modeled_run_seconds,
-            mmap_backed=spec.path is not None,
-        )
-        return self.profiles[artifact_id]
+        return self._install(spec, artifact, self.servers[artifact_id].backend)
 
     def _stamp(
         self, result: ServeResult, artifact_id: str, ticket: Optional[int] = None
@@ -418,32 +350,11 @@ class InlineWorker:
         return result
 
     # -- observability -----------------------------------------------------
-    def queue_depths(self) -> Dict[str, int]:
-        return {
-            artifact_id: len(server.scheduler)
-            for artifact_id, server in self.servers.items()
-        }
-
-    def queue_depth(self) -> int:
-        return sum(self.queue_depths().values())
-
-    def stats(self) -> WorkerStats:
-        combined: Optional[WorkerStats] = None
-        for artifact_id, server in self.servers.items():
-            stats = WorkerStats.from_server(
-                self.worker_id,
-                server,
-                queue_depth=len(server.scheduler),
-                mmap_backed=self.profiles[artifact_id].mmap_backed,
-                registry=self.registries.get(artifact_id),
-            )
-            combined = stats if combined is None else combined.merged_with(stats)
-        return combined
-
     def metrics_registry(self) -> MetricsRegistry:
         """This worker's counters/gauges/histograms as a fresh
         :class:`repro.obs.MetricsRegistry` snapshot (naming scheme:
-        docs/observability.md)."""
+        docs/observability.md).  :meth:`repro.serve.WorkerStats.
+        from_registry` derives the worker's stats row from it."""
         registry = MetricsRegistry()
         worker = str(self.worker_id)
         for artifact_id, server in self.servers.items():
@@ -493,6 +404,36 @@ class InlineWorker:
                 help="Requests waiting in the slot-batching queue.",
                 **labels,
             )
+            registry.gauge(
+                "repro_serve_capacity",
+                server.scheduler.capacity,
+                help="Slot-batch capacity (requests per ciphertext).",
+                **labels,
+            )
+            registry.gauge(
+                "repro_serve_preloaded_plaintexts",
+                server.preloaded_plaintexts,
+                help="Pre-encoded plaintexts installed at load.",
+                **labels,
+            )
+            registry.gauge(
+                "repro_serve_compilations_since_load",
+                server.compilations_since_load,
+                help="Compiler runs since the artifact was loaded (0 = pure).",
+                **labels,
+            )
+            registry.gauge(
+                "repro_serve_placements_since_load",
+                server.placements_since_load,
+                help="Placement-planner runs since the artifact was loaded.",
+                **labels,
+            )
+            registry.gauge(
+                "repro_serve_mmap_backed",
+                int(self.profiles[artifact_id].mmap_backed),
+                help="1 when the artifact tables are shared mmap views.",
+                **labels,
+            )
             if noise["min_level"] is not None:
                 registry.gauge(
                     "repro_noise_min_level",
@@ -506,29 +447,38 @@ class InlineWorker:
                 help="Max |log2(scale/Delta)| seen after a boundary op.",
                 **labels,
             )
-            key_registry = self.registries.get(artifact_id)
-            if key_registry is not None:
-                key_bytes = key_registry.key_bytes()
-                for state, value in sorted(key_bytes.items()):
-                    registry.gauge(
-                        "repro_key_material_bytes",
-                        value,
-                        help="Key-registry material bytes, by residency.",
-                        state=state,
-                        **labels,
-                    )
-                registry.counter(
-                    "repro_key_spills_total",
-                    key_registry.spill_count,
-                    help="Tenant key chains demoted to spill files.",
+            key_registry = self.registries[artifact_id]
+            for state, value in sorted(key_registry.key_bytes().items()):
+                registry.gauge(
+                    "repro_key_material_bytes",
+                    value,
+                    help="Key-registry material bytes, by residency.",
+                    state=state,
                     **labels,
                 )
-                registry.counter(
-                    "repro_key_promotes_total",
-                    key_registry.promote_count,
-                    help="Tenant key chains promoted back from disk.",
+            for state, count in (
+                ("resident", len(key_registry)),
+                ("spilled", key_registry.spilled_count()),
+            ):
+                registry.gauge(
+                    "repro_key_tenants",
+                    count,
+                    help="Clients whose key chains are held, by residency.",
+                    state=state,
                     **labels,
                 )
+            registry.counter(
+                "repro_key_spills_total",
+                key_registry.spill_count,
+                help="Tenant key chains demoted to spill files.",
+                **labels,
+            )
+            registry.counter(
+                "repro_key_promotes_total",
+                key_registry.promote_count,
+                help="Tenant key chains promoted back from disk.",
+                **labels,
+            )
             registry.record_histogram(
                 "repro_request_latency_seconds",
                 server.request_latency,
@@ -561,15 +511,12 @@ class InlineWorker:
         return registry
 
     def telemetry(self) -> Dict:
-        """One plain-JSON bundle of everything observable about this
-        worker: stats payload, metrics payload, and the trace-span
-        backlog.  ``trace`` has drain semantics — each completed root
-        span is returned exactly once — so callers accumulate without
-        deduplicating; this is also what makes the fork-mode flush on
-        ``drain()``/``close()`` lossless."""
+        """The one plain-JSON telemetry bundle of this worker: its
+        metrics payload plus the trace-span backlog.  ``trace`` has
+        drain semantics — each completed root span is returned exactly
+        once — so callers accumulate without deduplicating."""
         tracer = self.tracer
         return {
-            "stats": self.stats().to_payload(),
             "metrics": self.metrics_registry().to_payload(),
             "trace": tracer.drain() if tracer is not None else [],
             "clock_offset": tracer.clock_offset if tracer is not None else 0.0,
@@ -583,97 +530,41 @@ class InlineWorker:
 # -- process workers --------------------------------------------------------
 
 
-def _process_worker_main(
+def _serve_in_child(
     worker_id: int,
     specs: Tuple[ArtifactSpec, ...],
-    build_opts: Dict,
-    request_queue,
-    response_queue,
+    options: Dict,
+    requests,
+    responses,
 ) -> None:
-    """Child entry point: map the artifacts, serve the queue until stop.
+    """Child entry point: build an :class:`InlineWorker` over the same
+    artifact files as every sibling (shared page-cache residency), then
+    run each ``(method, args)`` message against it until ``None``.
 
-    The child maps the same artifact files as every sibling (shared
-    page-cache residency — the whole point), builds its own key domain,
-    and then runs a plain message loop: submit / step / drain / stats.
+    Answers ``("ok", result)`` per message (the first one carries the
+    worker's profiles), or ``("error", repr)`` once and exits.
     """
     try:
-        worker = InlineWorker(worker_id, specs, **build_opts)
-        response_queue.put(
-            ("ready", worker_id, {aid: p for aid, p in worker.profiles.items()})
-        )
-    except Exception as exc:  # pragma: no cover - startup failure path
-        response_queue.put(("error", worker_id, repr(exc)))
-        return
-    while True:
-        message = request_queue.get()
-        kind = message[0]
-        try:
-            if kind == "submit":
-                _, ticket, artifact_id, client_id, payload, now, deadline = message
-                worker.submit(ticket, artifact_id, client_id, payload, now, deadline)
-            elif kind == "serve_now":
-                _, ticket, artifact_id, client_id, payload = message
-                result = worker.serve_now(ticket, artifact_id, client_id, payload)
-                response_queue.put(("result", worker_id, _result_payload(result)))
-                response_queue.put(("done", worker_id, 1))
-            elif kind == "step":
-                results = worker.finish_step(message[1])
-                for result in results:
-                    response_queue.put(("result", worker_id, _result_payload(result)))
-                response_queue.put(("done", worker_id, len(results)))
-            elif kind == "drain":
-                results = worker.drain()
-                for result in results:
-                    response_queue.put(("result", worker_id, _result_payload(result)))
-                response_queue.put(("done", worker_id, len(results)))
-            elif kind == "stats":
-                response_queue.put(
-                    ("stats", worker_id, worker.stats().to_payload())
-                )
-            elif kind == "telemetry":
-                response_queue.put(("telemetry", worker_id, worker.telemetry()))
-            elif kind == "warm":
-                worker.warm(message[1])
-                response_queue.put(("done", worker_id, 0))
-            elif kind == "reload":
-                profile = worker.reload(message[1])
-                response_queue.put(("profile", worker_id, (message[1], profile)))
-            elif kind == "stop":
-                response_queue.put(("stopped", worker_id, None))
+        worker = InlineWorker(worker_id, specs, **options)
+        responses.put(("ok", worker.profiles))
+        while True:
+            method, args = requests.get()
+            if method is None:
                 return
-        except Exception as exc:  # pragma: no cover - fail loudly upstream
-            response_queue.put(("error", worker_id, repr(exc)))
-            return
-
-
-def _result_payload(result: ServeResult) -> Dict:
-    return {
-        "ticket": result.ticket,
-        "client_id": result.client_id,
-        "output": np.asarray(result.output),
-        "batch_size": result.batch_size,
-        "reason": result.reason,
-        "wall_seconds": result.wall_seconds,
-        "modeled_seconds": result.modeled_seconds,
-        "artifact_id": result.artifact_id,
-        "worker_id": result.worker_id,
-    }
+            responses.put(("ok", getattr(worker, method)(*args)))
+    except Exception as exc:  # fail loudly upstream, as WorkerDiedError
+        responses.put(("error", repr(exc)))
 
 
 class ProcessWorker:
-    """One shard as a real ``multiprocessing`` child over the same maps.
+    """An :class:`InlineWorker` in a ``fork`` child, behind a pipe.
 
-    The parent mirrors queue depths (incremented on submit, decremented
-    as results stream back) so admission control never needs a blocking
-    round trip into the child.
+    Same methods as :class:`InlineWorker`; each sends ``(method, args)``
+    and returns the child's result.  ``begin_step`` only sends, so a
+    server can start every child's step before it waits for any.
     """
 
-    def __init__(
-        self,
-        worker_id: int,
-        specs: Tuple[ArtifactSpec, ...],
-        **build_opts,
-    ):
+    def __init__(self, worker_id: int, specs: Tuple[ArtifactSpec, ...], **options):
         import multiprocessing
 
         for spec in specs:
@@ -688,415 +579,81 @@ class ProcessWorker:
         self.worker_id = worker_id
         self._requests = context.Queue()
         self._responses = context.Queue()
-        self._depths: Dict[str, int] = {spec.artifact_id: 0 for spec in specs}
-        # Parent-side telemetry mirror: the child's latest stats/metrics
-        # payloads plus the undelivered trace spans.  Refreshed by
-        # _fetch_telemetry — notably on drain() and close(), so the last
-        # batches before shutdown are never lost (the child's buffers
-        # would die with the fork otherwise).
-        self._cached_stats_payload: Optional[Dict] = None
-        self._cached_metrics_payload: Optional[Dict] = None
-        self._pending_trace: List[Dict] = []
-        self._clock_offset = 0.0
-        self._dropped_roots = 0
         self._process = context.Process(
-            target=_process_worker_main,
-            args=(
-                worker_id,
-                specs,
-                build_opts,
-                self._requests,
-                self._responses,
-            ),
+            target=_serve_in_child,
+            args=(worker_id, specs, options, self._requests, self._responses),
             daemon=True,
         )
         self._process.start()
-        _, payload = self._receive()
-        self.profiles: Dict[str, WorkerProfile] = dict(payload)
+        self.profiles: Dict[str, WorkerProfile] = self._receive()
 
-    # -- intake ------------------------------------------------------------
-    def submit(self, ticket, artifact_id, client_id, payload, now, deadline):
-        self._requests.put(
-            ("submit", ticket, artifact_id, client_id, np.asarray(payload), now, deadline)
-        )
-        self._depths[artifact_id] += 1
+    def _send(self, method: str, *args) -> None:
+        self._requests.put((method, args))
 
-    def serve_now(self, ticket, artifact_id, client_id, payload) -> ServeResult:
-        self._requests.put(
-            ("serve_now", ticket, artifact_id, client_id, np.asarray(payload))
-        )
-        results = self._collect()
-        return results[0]
-
-    # -- execution ---------------------------------------------------------
-    def begin_step(self, now: Optional[float]) -> None:
-        self._requests.put(("step", now))
-
-    def finish_step(self, now: Optional[float]) -> List[ServeResult]:
-        return self._collect()
-
-    def drain(self) -> List[ServeResult]:
-        self._requests.put(("drain",))
-        results = self._collect()
-        # Flush the child's telemetry after the final batches: without
-        # this, metrics and trace spans recorded by drain-time runs only
-        # exist in the fork and disappear at close().
-        self._fetch_telemetry()
-        return results
-
-    def warm(self, batch_sizes=None) -> None:
-        self._requests.put(("warm", batch_sizes))
-        self._collect()
-
-    def reload(self, artifact_id: str) -> WorkerProfile:
-        """Hot-swap the artifact inside the child; mirror its profile."""
-        self._requests.put(("reload", artifact_id))
-        while True:
-            kind, payload = self._receive()
-            if kind == "profile":
-                _, profile = payload
-                self.profiles[artifact_id] = profile
-                return profile
-
-    def _receive(self, timeout: Optional[float] = None) -> Tuple[str, object]:
-        """The child's next ``(kind, payload)`` message.
+    def _receive(self):
+        """The child's answer to the oldest unanswered message.
 
         Polls so that a child which dies instead of answering raises
         :class:`WorkerDiedError` within ~``_POLL_SECONDS`` rather than
-        blocking forever; an ``"error"`` message raises it too.  With a
-        ``timeout``, a live child that stays silent that long raises
-        :class:`queue.Empty`.
+        blocking forever; an ``"error"`` answer raises it too.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             # Checked before the wait: a child that exited had already
             # flushed everything it sent, so an empty wait after a
             # dead check means no answer is coming.
             alive = self._process.is_alive()
             try:
-                kind, _, payload = self._responses.get(timeout=_POLL_SECONDS)
+                status, value = self._responses.get(timeout=_POLL_SECONDS)
                 break
             except queue.Empty:
                 if not alive:
                     raise WorkerDiedError(
                         self.worker_id, self._process.exitcode
                     ) from None
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise
-        if kind == "error":
+        if status == "error":
             # The child returns right after reporting; reap it so the
             # error carries its exit code.
             self._process.join(timeout=5.0)
-            raise WorkerDiedError(
-                self.worker_id, self._process.exitcode, str(payload)
-            )
-        return kind, payload
+            raise WorkerDiedError(self.worker_id, self._process.exitcode, value)
+        return value
 
-    def _collect(self) -> List[ServeResult]:
-        """Read responses until the worker's 'done' marker."""
-        results: List[ServeResult] = []
-        while True:
-            kind, payload = self._receive()
-            if kind == "result":
-                result = ServeResult(**payload)
-                self._depths[result.artifact_id] -= 1
-                results.append(result)
-            elif kind == "done":
-                return results
+    def _call(self, method: str, *args):
+        self._send(method, *args)
+        return self._receive()
 
-    # -- observability -----------------------------------------------------
-    def queue_depths(self) -> Dict[str, int]:
-        return dict(self._depths)
+    def submit(self, ticket, artifact_id, client_id, payload, now, deadline) -> None:
+        self._call("submit", ticket, artifact_id, client_id, payload, now, deadline)
 
-    def queue_depth(self) -> int:
-        return sum(self._depths.values())
+    def serve_now(self, ticket, artifact_id, client_id, payload) -> ServeResult:
+        return self._call("serve_now", ticket, artifact_id, client_id, payload)
 
-    def stats(self) -> WorkerStats:
+    def begin_step(self, now: Optional[float]) -> None:
+        self._send("step", now)
+
+    def finish_step(self) -> List[ServeResult]:
+        return self._receive()
+
+    def drain(self) -> List[ServeResult]:
+        return self._call("drain")
+
+    def warm(self, batch_sizes=None) -> None:
+        self._call("warm", batch_sizes)
+
+    def reload(self, artifact_id: str) -> WorkerProfile:
+        profile = self._call("reload", artifact_id)
+        self.profiles[artifact_id] = profile
+        return profile
+
+    def telemetry(self) -> Optional[Dict]:
+        """The child's telemetry bundle, or ``None`` once it is gone."""
         if not self._process.is_alive():
-            # The fork is gone; answer from the last flushed snapshot
-            # (populated by drain()/close()) instead of deadlocking on a
-            # queue nobody serves.
-            if self._cached_stats_payload is None:
-                raise RuntimeError(
-                    f"worker {self.worker_id} is gone and left no stats"
-                )
-            return WorkerStats.from_payload(self._cached_stats_payload)
-        self._requests.put(("stats",))
-        while True:
-            kind, payload = self._receive()
-            if kind == "stats":
-                self._cached_stats_payload = payload
-                return WorkerStats.from_payload(payload)
-
-    def _fetch_telemetry(self) -> None:
-        """Round-trip one telemetry snapshot from the child into the
-        parent-side mirror.  Trace spans accumulate (the child drains
-        its buffer, so no span arrives twice); stats/metrics payloads
-        are cumulative and simply replace the cache."""
-        if not self._process.is_alive():
-            return
-        self._requests.put(("telemetry",))
-        while True:
-            try:
-                kind, payload = self._receive(timeout=30.0)
-            except queue.Empty:  # pragma: no cover - child wedged
-                return
-            if kind == "telemetry":
-                self._cached_stats_payload = payload["stats"]
-                self._cached_metrics_payload = payload["metrics"]
-                self._pending_trace.extend(payload["trace"])
-                self._clock_offset = payload["clock_offset"]
-                self._dropped_roots = payload["dropped_roots"]
-                return
-
-    def telemetry(self) -> Dict:
-        """Same bundle as :meth:`InlineWorker.telemetry`, served from
-        the parent-side mirror (refreshed first if the child is alive).
-        Trace spans keep their drain semantics across the pipe: the
-        pending buffer is handed over exactly once."""
-        self._fetch_telemetry()
-        trace, self._pending_trace = self._pending_trace, []
-        return {
-            "stats": self._cached_stats_payload,
-            "metrics": self._cached_metrics_payload,
-            "trace": trace,
-            "clock_offset": self._clock_offset,
-            "dropped_roots": self._dropped_roots,
-        }
+            return None
+        return self._call("telemetry")
 
     def close(self) -> None:
         if self._process.is_alive():
-            # Final telemetry flush before the fork (and its buffers)
-            # goes away; errors here must not block shutdown.
-            try:
-                self._fetch_telemetry()
-            except RuntimeError:  # pragma: no cover - child died mid-close
-                pass
-            self._requests.put(("stop",))
+            self._send(None)
             self._process.join(timeout=10.0)
             if self._process.is_alive():  # pragma: no cover - stuck child
                 self._process.terminate()
                 self._process.join(timeout=5.0)
-
-
-class WorkerPool:
-    """N workers sharding the hosted artifacts (lifecycle owner)."""
-
-    def __init__(
-        self,
-        specs: Tuple[ArtifactSpec, ...],
-        num_workers: int,
-        *,
-        mode: str = "inline",
-        **build_opts,
-    ):
-        if num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        self.specs = tuple(specs)
-        self.mode = mode
-        self.workers: List[object] = []
-        if mode == "inline":
-            # One shared load of each mmapped artifact for the whole
-            # pool: the program object (and its mapped tables) is
-            # reference-shared; per-worker state lives in the backends.
-            shared: Dict[str, ServingArtifact] = {}
-            for worker_id in range(num_workers):
-                self.workers.append(
-                    InlineWorker(
-                        worker_id,
-                        self.specs,
-                        shared_artifacts=shared,
-                        **build_opts,
-                    )
-                )
-        elif mode == "process":
-            for worker_id in range(num_workers):
-                self.workers.append(
-                    ProcessWorker(worker_id, self.specs, **build_opts)
-                )
-        else:
-            raise ValueError(f"unknown pool mode {mode!r}")
-
-    def __len__(self) -> int:
-        return len(self.workers)
-
-    def reload(self, artifact_id: str) -> None:
-        """Hot-swap a new version of one artifact into every worker.
-
-        Inline pools re-open the (replaced) artifact file once and share
-        the fresh load across workers, mirroring construction; process
-        workers each re-map the file in their own child (page cache
-        makes the bytes physically shared anyway).
-        """
-        spec = next(
-            (s for s in self.specs if s.artifact_id == artifact_id), None
-        )
-        if spec is None:
-            raise KeyError(f"unknown artifact {artifact_id!r}")
-        if self.mode == "inline":
-            fresh = None
-            if spec.path is not None:
-                fresh = ArtifactMap(spec.path).load()
-            for worker in self.workers:
-                worker.reload(artifact_id, artifact=fresh)
-        else:
-            for worker in self.workers:
-                worker.reload(artifact_id)
-
-    def close(self) -> None:
-        for worker in self.workers:
-            worker.close()
-
-
-class Dispatcher:
-    """Routing, admission, and conservation accounting for a pool."""
-
-    def __init__(
-        self,
-        pool: WorkerPool,
-        *,
-        max_queue_depth: int = 32,
-        admission_budget_seconds: Optional[float] = None,
-        routing_seed: int = 0,
-    ):
-        if max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be at least 1")
-        self.pool = pool
-        self.max_queue_depth = max_queue_depth
-        self.admission_budget_seconds = admission_budget_seconds
-        self.routing_seed = routing_seed
-        self.requests_submitted = 0
-        self.requests_admitted = 0
-        self.requests_rejected = 0
-        self.requests_completed = 0
-        self._next_ticket = 0
-        self._closed = False
-
-    # -- routing -----------------------------------------------------------
-    def route(self, artifact_id: str, client_id: str) -> int:
-        """Rendezvous-hash the request onto a worker (deterministic)."""
-        best_worker, best_score = 0, -1
-        for worker_id in range(len(self.pool)):
-            digest = hashlib.sha256(
-                f"{self.routing_seed}/{artifact_id}/{client_id}/{worker_id}".encode()
-            ).digest()
-            score = int.from_bytes(digest[:8], "big")
-            if score > best_score:
-                best_worker, best_score = worker_id, score
-        return best_worker
-
-    # -- admission ---------------------------------------------------------
-    def _backlog_seconds(self, worker) -> float:
-        """Modeled time to clear the worker's current queues."""
-        total = 0.0
-        for artifact_id, depth in worker.queue_depths().items():
-            if depth == 0:
-                continue
-            profile = worker.profiles[artifact_id]
-            batches = math.ceil(depth / max(1, profile.capacity))
-            total += batches * profile.modeled_seconds
-        return total
-
-    def _admit(self, worker, artifact_id: str) -> None:
-        depth = worker.queue_depth()
-        profile = worker.profiles[artifact_id]
-        if depth >= self.max_queue_depth:
-            retry_ms = max(1.0, profile.modeled_seconds * 1e3)
-            self.requests_rejected += 1
-            raise AdmissionError(
-                f"worker {worker.worker_id} queue is full "
-                f"({depth}/{self.max_queue_depth}); retry in ~{retry_ms:.0f}ms",
-                retry_after_ms=retry_ms,
-                worker_id=worker.worker_id,
-                queue_depth=depth,
-            )
-        if self.admission_budget_seconds is not None:
-            estimate = self._backlog_seconds(worker) + profile.modeled_seconds
-            if estimate > self.admission_budget_seconds:
-                overhang = estimate - self.admission_budget_seconds
-                retry_ms = max(1.0, overhang * 1e3)
-                self.requests_rejected += 1
-                raise AdmissionError(
-                    f"worker {worker.worker_id} backlog {estimate * 1e3:.0f}ms "
-                    f"exceeds the {self.admission_budget_seconds * 1e3:.0f}ms "
-                    f"latency budget; retry in ~{retry_ms:.0f}ms",
-                    retry_after_ms=retry_ms,
-                    worker_id=worker.worker_id,
-                    queue_depth=depth,
-                )
-
-    # -- request flow --------------------------------------------------------
-    def submit(
-        self,
-        artifact_id: str,
-        client_id: str,
-        payload,
-        now: Optional[float] = None,
-        deadline: Optional[float] = None,
-    ) -> int:
-        if self._closed:
-            raise RuntimeError("dispatcher is closed")
-        worker = self.pool.workers[self.route(artifact_id, client_id)]
-        self.requests_submitted += 1
-        self._admit(worker, artifact_id)  # raises AdmissionError (counted)
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        worker.submit(ticket, artifact_id, client_id, payload, now, deadline)
-        self.requests_admitted += 1
-        return ticket
-
-    def serve_now(self, artifact_id: str, client_id: str, payload) -> ServeResult:
-        if self._closed:
-            raise RuntimeError("dispatcher is closed")
-        worker = self.pool.workers[self.route(artifact_id, client_id)]
-        self.requests_submitted += 1
-        self._admit(worker, artifact_id)
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        self.requests_admitted += 1
-        result = worker.serve_now(ticket, artifact_id, client_id, payload)
-        self.requests_completed += 1
-        return result
-
-    def step(self, now: Optional[float] = None) -> List[ServeResult]:
-        """Run every due batch on every worker (process workers overlap)."""
-        for worker in self.pool.workers:
-            worker.begin_step(now)
-        results: List[ServeResult] = []
-        for worker in self.pool.workers:
-            results.extend(worker.finish_step(now))
-        self.requests_completed += len(results)
-        return results
-
-    def drain(self) -> List[ServeResult]:
-        """Flush every queue (graceful shutdown: zero in-flight after)."""
-        results: List[ServeResult] = []
-        for worker in self.pool.workers:
-            results.extend(worker.drain())
-        self.requests_completed += len(results)
-        return results
-
-    def reload(self, artifact_id: str) -> None:
-        """Hot-swap one artifact across the pool (quiesced swap).
-
-        Requires zero in-flight requests — call :meth:`drain` first —
-        so no request ever sees half a swap.  Routing, admission
-        counters, and tenant key domains all survive the reload.
-        """
-        if self._closed:
-            raise RuntimeError("dispatcher is closed")
-        if self.in_flight:
-            raise RuntimeError(
-                f"{self.in_flight} request(s) in flight; drain() before "
-                "reloading an artifact"
-            )
-        self.pool.reload(artifact_id)
-
-    def close(self) -> None:
-        self._closed = True
-        self.pool.close()
-
-    # -- observability -----------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        return self.requests_admitted - self.requests_completed

@@ -1,4 +1,4 @@
-"""The inference server: a worker loop over reusable execution state.
+"""The inference server: one artifact's serving loop over reusable state.
 
 Ties the serving pieces together (docs/serving.md):
 
@@ -38,8 +38,8 @@ from repro.serve.scheduler import Batch, SlotBatchingScheduler
 class ServeResult:
     """One completed request.
 
-    ``artifact_id`` / ``worker_id`` are stamped by the worker pool
-    (:mod:`repro.serve.pool`); a bare :class:`InferenceServer` leaves
+    ``artifact_id`` / ``worker_id`` are stamped by the worker that ran
+    it (:mod:`repro.serve.pool`); a bare :class:`InferenceServer` leaves
     them ``None``.
     """
 
@@ -303,23 +303,3 @@ class InferenceServer:
                 histogram = LatencyHistogram()
                 self.op_histograms[op] = histogram
             histogram.observe(seconds)
-
-    # -- observability -------------------------------------------------------
-    def stats(self) -> Dict:
-        return {
-            "requests_served": self.requests_served,
-            "batches_run": self.batches_run,
-            "capacity": self.scheduler.capacity,
-            "preloaded_plaintexts": self.preloaded_plaintexts,
-            "compilations_since_load": self.compilations_since_load,
-            "placements_since_load": self.placements_since_load,
-            "request_latency": self.request_latency.snapshot(),
-            "modeled_seconds": self.ledger.seconds,
-            "kernel_backend": kernels.active_backend(),
-            "ops": {
-                op: histogram.snapshot()
-                for op, histogram in sorted(self.op_histograms.items())
-            },
-            "ledger": self.ledger.snapshot(),
-            "noise": self.noise.stats(),
-        }

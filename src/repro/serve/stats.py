@@ -10,7 +10,11 @@ and ``BENCH_serving.json`` speak:
 - :class:`WorkerStats`    — one worker's serving counters, per-op
   latency, serve-path purity counters, and the mmap discipline flag;
 - :class:`ServerStats`    — the pool: per-worker stats plus the
-  dispatcher's admission-conservation counters.
+  server's admission-conservation counters.
+
+Worker rows are derived from each worker's metrics-registry payload
+(:meth:`WorkerStats.from_registry`), the same payload the Prometheus
+exposition merges, so stats and metrics cannot disagree.
 
 All three are frozen dataclasses with ``to_payload`` / ``from_payload``
 (plain-JSON dicts) and ``to_json`` / ``from_json`` round-trips, pinned
@@ -24,7 +28,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.obs.summary import merge_histogram_summaries, summarize_histogram
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.summary import summarize_histogram
 
 #: Version 3: adds per-worker key-material accounting (``WorkerStats.
 #: key_bytes_resident`` / ``key_bytes_spilled`` and the matching tenant
@@ -44,10 +49,9 @@ class StatsSchemaError(ValueError):
 class HistogramStats:
     """Summary of one :class:`repro.backend.ledger.LatencyHistogram`.
 
-    Produced by — and merged with — the shared summarizer in
-    :mod:`repro.obs.summary`, so this class and ``LatencyHistogram.
-    snapshot()`` can never disagree on the summary shape or the merge
-    arithmetic.
+    Produced by the shared summarizer in :mod:`repro.obs.summary`, so
+    this class and ``LatencyHistogram.snapshot()`` can never disagree
+    on the summary shape.
     """
 
     count: int
@@ -58,13 +62,6 @@ class HistogramStats:
     @classmethod
     def from_histogram(cls, histogram) -> "HistogramStats":
         return cls(**summarize_histogram(histogram))
-
-    def merged_with(self, other: "HistogramStats") -> "HistogramStats":
-        """Count-weighted mean, max percentiles (the only merge possible
-        once the underlying buckets are gone)."""
-        return HistogramStats(
-            **merge_histogram_summaries(self.to_payload(), other.to_payload())
-        )
 
     def to_payload(self) -> Dict:
         return {
@@ -105,20 +102,6 @@ class NoiseStats:
     @classmethod
     def from_monitor(cls, monitor) -> "NoiseStats":
         return cls(**monitor.stats())
-
-    def merged_with(self, other: "NoiseStats") -> "NoiseStats":
-        levels = [
-            lvl for lvl in (self.min_level, other.min_level) if lvl is not None
-        ]
-        return NoiseStats(
-            rescales=self.rescales + other.rescales,
-            mod_downs=self.mod_downs + other.mod_downs,
-            bootstraps=self.bootstraps + other.bootstraps,
-            min_level=min(levels) if levels else None,
-            max_scale_drift_log2=max(
-                self.max_scale_drift_log2, other.max_scale_drift_log2
-            ),
-        )
 
     def to_payload(self) -> Dict:
         return {
@@ -181,89 +164,76 @@ class WorkerStats:
     tenants_spilled: int = 0
 
     @classmethod
-    def from_server(
-        cls,
-        worker_id: int,
-        server,
-        queue_depth: int,
-        mmap_backed: bool,
-        registry=None,
-    ) -> "WorkerStats":
-        """Summarize one :class:`repro.serve.runtime.InferenceServer`.
+    def from_registry(cls, worker_id: int, payload: Dict) -> "WorkerStats":
+        """Derive one worker's row from its metrics-registry payload
+        (:meth:`repro.obs.MetricsRegistry.to_payload`).
 
-        ``registry`` is the worker's :class:`repro.serve.keys.KeyRegistry`
-        for this artifact (when the pool routes key accounting through
-        one); it supplies the resident/spilled key-material split.
+        Reads the series labelled ``worker=<worker_id>``, one label set
+        per hosted artifact, and folds them: counts and bytes sum,
+        ``capacity`` is the max, ``mmap_backed`` holds only if every
+        artifact is mapped, and latency percentiles come from the
+        merged histogram buckets.
         """
         from repro import kernels
+        from repro.backend.ledger import OpLedger
 
-        key_bytes = (
-            registry.key_bytes() if registry is not None else {"resident": 0, "spilled": 0}
-        )
+        registry = MetricsRegistry()
+        registry.merge_payload(payload)
+        worker = str(worker_id)
+
+        def series(name: str, **match):
+            return [
+                (labels, value)
+                for labels, value in registry.series(name)
+                if labels.get("worker") == worker
+                and all(labels.get(k) == v for k, v in match.items())
+            ]
+
+        def values(name: str, **match):
+            return [value for _, value in series(name, **match)]
+
+        def total(name: str, **match) -> int:
+            return int(sum(values(name, **match)))
+
+        ledger = OpLedger()
+        for labels, count in series("repro_fhe_ops_total"):
+            ledger.counts[labels["op"]] += int(count)
+        phases: Dict[str, list] = {}
+        for labels, histogram in series("repro_phase_modeled_seconds"):
+            phases.setdefault(labels["phase"], []).append(histogram)
+        levels = values("repro_noise_min_level")
         return cls(
             worker_id=worker_id,
-            requests_served=server.requests_served,
-            batches_run=server.batches_run,
-            queue_depth=queue_depth,
-            capacity=server.scheduler.capacity,
-            preloaded_plaintexts=server.preloaded_plaintexts,
-            modeled_seconds=server.ledger.seconds,
-            rotations=server.ledger.rotations,
-            bootstraps=server.ledger.bootstraps,
-            compilations_since_load=server.compilations_since_load,
-            placements_since_load=server.placements_since_load,
+            requests_served=total("repro_serve_requests_total"),
+            batches_run=total("repro_serve_batches_total"),
+            queue_depth=total("repro_serve_queue_depth"),
+            capacity=int(max(values("repro_serve_capacity"), default=0)),
+            preloaded_plaintexts=total("repro_serve_preloaded_plaintexts"),
+            modeled_seconds=float(sum(values("repro_modeled_seconds_total"))),
+            rotations=ledger.rotations,
+            bootstraps=ledger.bootstraps,
+            compilations_since_load=total("repro_serve_compilations_since_load"),
+            placements_since_load=total("repro_serve_placements_since_load"),
             kernel_backend=kernels.active_backend(),
-            mmap_backed=mmap_backed,
-            request_latency=HistogramStats.from_histogram(
-                server.request_latency
-            ),
+            mmap_backed=all(values("repro_serve_mmap_backed")),
+            request_latency=_merged(values("repro_request_latency_seconds")),
             ops=tuple(
-                (op, HistogramStats.from_histogram(histogram))
-                for op, histogram in sorted(server.op_histograms.items())
+                (phase, _merged(histograms))
+                for phase, histograms in sorted(phases.items())
             ),
-            noise=NoiseStats.from_monitor(server.noise),
-            key_bytes_resident=key_bytes["resident"],
-            key_bytes_spilled=key_bytes["spilled"],
-            tenants_resident=len(registry) if registry is not None else 0,
-            tenants_spilled=(
-                registry.spilled_count() if registry is not None else 0
+            noise=NoiseStats(
+                rescales=total("repro_noise_boundary_total", op="rescale"),
+                mod_downs=total("repro_noise_boundary_total", op="mod_down"),
+                bootstraps=total("repro_noise_boundary_total", op="bootstrap"),
+                min_level=int(min(levels)) if levels else None,
+                max_scale_drift_log2=float(
+                    max(values("repro_noise_max_scale_drift_log2"), default=0.0)
+                ),
             ),
-        )
-
-    def merged_with(self, other: "WorkerStats") -> "WorkerStats":
-        """Fold another server's counters into this worker's (a worker
-        hosting several artifacts reports one combined row).  Histogram
-        summaries merge through the shared summarizer in
-        :mod:`repro.obs.summary`."""
-        ops: Dict[str, HistogramStats] = dict(self.ops)
-        for op, stats in other.ops:
-            ops[op] = ops[op].merged_with(stats) if op in ops else stats
-        latency = self.request_latency.merged_with(other.request_latency)
-        return WorkerStats(
-            worker_id=self.worker_id,
-            requests_served=self.requests_served + other.requests_served,
-            batches_run=self.batches_run + other.batches_run,
-            queue_depth=self.queue_depth + other.queue_depth,
-            capacity=max(self.capacity, other.capacity),
-            preloaded_plaintexts=self.preloaded_plaintexts
-            + other.preloaded_plaintexts,
-            modeled_seconds=self.modeled_seconds + other.modeled_seconds,
-            rotations=self.rotations + other.rotations,
-            bootstraps=self.bootstraps + other.bootstraps,
-            compilations_since_load=self.compilations_since_load
-            + other.compilations_since_load,
-            placements_since_load=self.placements_since_load
-            + other.placements_since_load,
-            kernel_backend=self.kernel_backend,
-            mmap_backed=self.mmap_backed and other.mmap_backed,
-            request_latency=latency,
-            ops=tuple(sorted(ops.items())),
-            noise=self.noise.merged_with(other.noise),
-            key_bytes_resident=self.key_bytes_resident
-            + other.key_bytes_resident,
-            key_bytes_spilled=self.key_bytes_spilled + other.key_bytes_spilled,
-            tenants_resident=self.tenants_resident + other.tenants_resident,
-            tenants_spilled=self.tenants_spilled + other.tenants_spilled,
+            key_bytes_resident=total("repro_key_material_bytes", state="resident"),
+            key_bytes_spilled=total("repro_key_material_bytes", state="spilled"),
+            tenants_resident=total("repro_key_tenants", state="resident"),
+            tenants_spilled=total("repro_key_tenants", state="spilled"),
         )
 
     def to_payload(self) -> Dict:
@@ -319,6 +289,16 @@ class WorkerStats:
             tenants_resident=int(payload["tenants_resident"]),
             tenants_spilled=int(payload["tenants_spilled"]),
         )
+
+
+def _merged(histograms) -> HistogramStats:
+    """Summary of the bucket-wise sum of ``LatencyHistogram``s."""
+    from repro.backend.ledger import LatencyHistogram
+
+    merged = LatencyHistogram()
+    for histogram in histograms:
+        merged.merge(histogram)
+    return HistogramStats.from_histogram(merged)
 
 
 @dataclass(frozen=True)

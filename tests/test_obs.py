@@ -12,6 +12,8 @@ The contracts the observability PR rests on:
 - **summarizer unification** — ``OpLedger.snapshot`` /
   ``LatencyHistogram.snapshot`` and the typed stats schema consume one
   shared summarizer, so they can never disagree;
+- **derived worker stats** — ``WorkerStats.from_registry`` folds a
+  worker's per-artifact series, with percentiles from merged buckets;
 - **LatencyHistogram edges** — empty percentiles, single-sample
   p50 == p99, disjoint-bucket merges;
 - **NoiseMonitor** — boundary counts, min level, scale drift, and
@@ -33,13 +35,12 @@ from repro.obs import (
     Tracer,
     chrome_trace,
     get_tracer,
-    merge_histogram_summaries,
     summarize_histogram,
     summarize_ledger,
     use_tracer,
     write_chrome_trace,
 )
-from repro.serve.stats import HistogramStats, NoiseStats
+from repro.serve.stats import NoiseStats, WorkerStats
 
 
 class TestSpanTree:
@@ -317,23 +318,79 @@ class TestSharedSummarizer:
         hist.observe(0.003)
         assert hist.snapshot() == summarize_histogram(hist)
 
-    def test_stats_merge_uses_shared_arithmetic(self):
-        a = HistogramStats(count=4, mean_seconds=1.0, p50_seconds=0.5,
-                           p99_seconds=2.0)
-        b = HistogramStats(count=6, mean_seconds=2.0, p50_seconds=1.5,
-                           p99_seconds=1.0)
-        merged = a.merged_with(b)
-        expected = merge_histogram_summaries(a.to_payload(), b.to_payload())
-        assert merged.to_payload() == expected
-        assert merged.count == 10
-        assert merged.mean_seconds == pytest.approx(1.6)
-        assert merged.p50_seconds == 1.5
-        assert merged.p99_seconds == 2.0
 
-    def test_merge_empty_summaries(self):
-        empty = {"count": 0, "mean_seconds": 0.0, "p50_seconds": 0.0,
-                 "p99_seconds": 0.0}
-        assert merge_histogram_summaries(empty, empty)["mean_seconds"] == 0.0
+class TestDerivedWorkerStats:
+    """``WorkerStats.from_registry`` folds a worker's per-artifact
+    label sets; histograms merge bucket-wise before summarizing."""
+
+    @staticmethod
+    def _histogram(seconds, count):
+        hist = LatencyHistogram()
+        for _ in range(count):
+            hist.observe(seconds)
+        return hist
+
+    def test_latency_percentiles_follow_merged_buckets(self):
+        fast = self._histogram(2e-4, 10)
+        slow = self._histogram(0.5, 3)
+        registry = MetricsRegistry()
+        for artifact, hist in (("a", fast), ("b", slow)):
+            registry.record_histogram(
+                "repro_request_latency_seconds", hist, worker="0",
+                artifact=artifact,
+            )
+            registry.record_histogram(
+                "repro_phase_modeled_seconds", hist, worker="0",
+                artifact=artifact, phase="linear",
+            )
+        stats = WorkerStats.from_registry(0, registry.to_payload())
+        merged = LatencyHistogram()
+        merged.merge(fast)
+        merged.merge(slow)
+        latency = stats.request_latency
+        assert latency.count == 13
+        assert latency.p50_seconds == merged.quantile(0.5)
+        assert latency.p99_seconds == merged.quantile(0.99)
+        assert latency.mean_seconds == pytest.approx(merged.mean)
+        # the max of the per-artifact p50s lands in the slow bucket;
+        # ten of the thirteen requests were fast
+        assert latency.p50_seconds == fast.quantile(0.5)
+        assert latency.p50_seconds < max(fast.quantile(0.5), slow.quantile(0.5))
+        assert stats.ops == (("linear", latency),)
+
+    def test_artifact_label_sets_fold(self):
+        registry = MetricsRegistry()
+        for artifact, served, capacity, mapped, level, drift in (
+            ("a", 3, 4, 1, 2, 0.25),
+            ("b", 5, 8, 0, 1, 0.5),
+        ):
+            labels = {"worker": "1", "artifact": artifact}
+            registry.counter("repro_serve_requests_total", served, **labels)
+            registry.counter("repro_fhe_ops_total", 2, op="hrot", **labels)
+            registry.counter("repro_fhe_ops_total", 1, op="hrot_hoisted", **labels)
+            registry.counter(
+                "repro_noise_boundary_total", served, op="rescale", **labels
+            )
+            registry.gauge("repro_serve_capacity", capacity, **labels)
+            registry.gauge("repro_serve_mmap_backed", mapped, **labels)
+            registry.gauge("repro_noise_min_level", level, **labels)
+            registry.gauge("repro_noise_max_scale_drift_log2", drift, **labels)
+            registry.gauge("repro_key_tenants", 2, state="resident", **labels)
+        # another worker's series and the unlabelled kernel counter are
+        # not this worker's
+        registry.counter("repro_serve_requests_total", 100, worker="2", artifact="a")
+        registry.counter("repro_kernel_dispatch_total", 7, kernel="ntt_stage")
+        stats = WorkerStats.from_registry(1, registry.to_payload())
+        assert stats.worker_id == 1
+        assert stats.requests_served == 8
+        assert stats.rotations == 6
+        assert stats.capacity == 8
+        assert stats.mmap_backed is False
+        assert stats.noise.rescales == 8
+        assert stats.noise.min_level == 1
+        assert stats.noise.max_scale_drift_log2 == 0.5
+        assert stats.tenants_resident == 4
+        assert stats.request_latency.count == 0
 
 
 class TestLatencyHistogramEdges:
@@ -424,11 +481,3 @@ class TestNoiseMonitor:
             json.loads(json.dumps(stats.to_payload()))
         )
         assert restored == stats
-        # merged_with: counts sum, min of min_levels, max drift
-        other = NoiseStats(rescales=1, mod_downs=2, bootstraps=0,
-                           min_level=1, max_scale_drift_log2=0.5)
-        merged = stats.merged_with(other)
-        assert merged.rescales == 2
-        assert merged.min_level == 1
-        assert merged.max_scale_drift_log2 == 0.5
-        assert NoiseStats().merged_with(NoiseStats()).min_level is None

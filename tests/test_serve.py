@@ -411,13 +411,12 @@ class TestInferenceServer:
 
     def test_telemetry_accumulates(self, served):
         *_, server = served
-        stats = server.stats()
-        assert stats["requests_served"] >= 5
-        assert stats["request_latency"]["count"] >= 5
-        assert stats["modeled_seconds"] > 0
-        assert stats["ledger"]["rotations"] > 0
-        assert "linear" in stats["ops"]
-        assert stats["preloaded_plaintexts"] > 0
+        assert server.requests_served >= 5
+        assert server.request_latency.count >= 5
+        assert server.ledger.seconds > 0
+        assert server.ledger.rotations > 0
+        assert "linear" in server.op_histograms
+        assert server.preloaded_plaintexts > 0
 
     def test_max_batch_floored_to_power_of_two(self, served):
         """A non-power-of-two cap must not produce an unexecutable

@@ -13,8 +13,6 @@ The correctness gates of the pool PR:
   including under overload and after drain;
 - **shared mmap tables** — workers serve from read-only mmap-backed
   views of the artifact; no table is ever copied on the request path;
-- **shim parity** — the deprecated ``repro.serve.InferenceServer``
-  import warns but behaves bit-identically to the internal class;
 - **typed stats** — ``ServerStats`` round-trips through JSON and
   rejects foreign schema versions;
 - **key pinning** — the registry never LRU-evicts key material with
@@ -25,7 +23,6 @@ import json
 import os
 import signal
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -206,7 +203,7 @@ class TestAdmission:
         # a second on the same worker overflows the backlog estimate.
         probe = serve.open(artifact_path, _pool_config())
         modeled = next(
-            iter(probe._dispatcher.pool.workers[0].profiles.values())
+            iter(probe._workers[0].profiles.values())
         ).modeled_seconds
         probe.close()
         config = _pool_config(
@@ -218,6 +215,44 @@ class TestAdmission:
                 server.submit(_images(1)[0], client_id="alice")
             assert "budget" in str(exc_info.value)
             server.drain()
+
+    def test_failed_handoff_still_conserves(self, artifact_path, monkeypatch):
+        with serve.open(artifact_path, _pool_config()) as server:
+            worker = server._workers[server.route("alice")]
+
+            def broken_submit(*args):
+                raise OSError("hand-off failed")
+
+            monkeypatch.setattr(worker, "submit", broken_submit)
+            with pytest.raises(OSError):
+                server.submit(_images(1)[0], client_id="alice")
+            stats = server.stats()
+            assert stats.requests_submitted == 1
+            assert stats.requests_admitted == 1
+            assert (
+                stats.requests_submitted
+                == stats.requests_admitted + stats.requests_rejected
+            )
+            assert (
+                stats.requests_admitted
+                == stats.requests_completed + stats.in_flight
+            )
+            monkeypatch.undo()
+
+    def test_closed_server_refuses_and_close_is_idempotent(self, artifact_path):
+        server = serve.open(artifact_path, _pool_config())
+        server.serve_now(_images(1)[0], client_id="alice")
+        server.close()
+        server.close()
+        for call in (server.submit, server.serve_now):
+            with pytest.raises(RuntimeError, match="server is closed"):
+                call(_images(1)[0], client_id="alice")
+        with pytest.raises(RuntimeError, match="server is closed"):
+            server.reload()
+        stats = server.stats()  # the last telemetry stays readable
+        assert stats.requests_submitted == 1
+        assert stats.requests_completed == 1
+        assert sum(w.requests_served for w in stats.workers) == 1
 
     def test_drain_leaves_zero_in_flight(self, artifact_path):
         with serve.open(artifact_path, _pool_config()) as server:
@@ -238,7 +273,7 @@ class TestSharedMmapTables:
             server.serve_now(_images(1)[0], client_id="alice")
             stats = server.stats()
             assert all(w.mmap_backed for w in stats.workers)
-            for worker in server._dispatcher.pool.workers:
+            for worker in server._workers:
                 for inner in worker.servers.values():
                     assert verify_mmap_tables(inner, artifact_path)
 
@@ -290,8 +325,6 @@ class TestFrontDoor:
         with pytest.raises(ValueError):
             ServerConfig(mode="threads")
         with pytest.raises(ValueError):
-            ServerConfig(key_policy="rotating")
-        with pytest.raises(ValueError):
             ServerConfig(max_queue_depth=0)
         with pytest.raises(ValueError):
             ServerConfig(admission_budget_seconds=0.0)
@@ -323,36 +356,6 @@ class TestFrontDoor:
             serve.open([artifact_path, artifact_path])
         with pytest.raises(TypeError):
             serve.open(123)
-
-    def test_deprecated_shims_warn_and_match(self, artifact_path):
-        artifact = ArtifactMap(artifact_path).load()
-        params = artifact.manifest.to_params()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = serve.InferenceServer(
-                artifact,
-                default_backend_factory(params, 0),
-                max_wait_seconds=0.0,
-            )
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        internal = InferenceServer(
-            artifact,
-            default_backend_factory(params, 0),
-            max_wait_seconds=0.0,
-        )
-        image = _images(1)[0]
-        assert np.array_equal(
-            shim.serve_now(image).output, internal.serve_now(image).output
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            scheduler = serve.SlotBatchingScheduler(capacity=4)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert scheduler.capacity == 4
 
 
 class TestStatsSchema:
@@ -529,7 +532,7 @@ class TestProcessMode:
         server = serve.open(artifact_path, _pool_config(workers=1, mode="process"))
         try:
             server.submit(_images(1)[0], client_id="victim")
-            child = server._dispatcher.pool.workers[0]._process
+            child = server._workers[0]._process
             os.kill(child.pid, signal.SIGKILL)
             start = time.monotonic()
             with pytest.raises(WorkerDiedError) as info:
